@@ -12,7 +12,8 @@
 // node, exactly what src/ml/decision_tree.cpp did before the presorted
 // column-index structure) as the single-thread baseline, and measures
 // batch-prediction throughput of the tree-walk forest against
-// ml::CompiledForest.
+// ml::CompiledForest, plus CompiledForest's single-row throughput (the
+// path streaming estimates take).
 //
 // The run is also a gate, not just a report — it exits non-zero if any
 // of these fail:
@@ -20,7 +21,7 @@
 //   * histogram-split holdout accuracy drifts from the exact search by
 //     more than the tolerance;
 //   * CompiledForest probabilities differ from the tree-walk forest's by
-//     even one bit;
+//     even one bit, batch or one row at a time;
 //   * (full mode) CompiledForest throughput is below 10x the tree-walk
 //     batch path measured in the same run.
 // Fold-parallel CV slower than sequential CV is a gate on multi-core
@@ -44,6 +45,7 @@
 #include <fstream>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -428,11 +430,24 @@ int main(int argc, char** argv) {
   const double compiled_nt_s = seconds_since(t_cn);
   identity_ok = identity_ok && want == got;
 
+  // Single-row inference over the same probe rows, one predict_proba_into
+  // per row as a streaming monitor serves them; must match the batch
+  // output bit for bit.
+  std::vector<double> single(want.size());
+  const auto t_s1 = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < test.size(); ++r) {
+    cf.predict_proba_into(
+        test.row(r), std::span<double>(single).subspan(r * c_count, c_count));
+  }
+  const double single_1t_s = seconds_since(t_s1);
+  const bool single_row_ok = single == got;
+
   const double rows_d = static_cast<double>(test.size());
   const double thr_tree_1t = rows_d / treewalk_1t_s;
   const double thr_tree_nt = rows_d / treewalk_nt_s;
   const double thr_cf_1t = rows_d / compiled_1t_s;
   const double thr_cf_nt = rows_d / compiled_nt_s;
+  const double thr_cf_single = rows_d / single_1t_s;
   const double compiled_speedup = thr_cf_1t / thr_tree_1t;
   // Throughput is machine-dependent, so the 10x gate only runs on the
   // full-size workload where the ratio has wide margin; smoke still
@@ -444,8 +459,10 @@ int main(int argc, char** argv) {
               thr_tree_1t, thr_tree_nt, max_threads);
   std::printf("  compiled:  %8.0f rows/s (1t) | %8.0f rows/s (%zut)\n",
               thr_cf_1t, thr_cf_nt, max_threads);
-  std::printf("  bit-identical probabilities: %s\n",
-              identity_ok ? "yes" : "NO — BUG");
+  std::printf("  compiled single-row: %8.0f rows/s (1t)\n", thr_cf_single);
+  std::printf("  bit-identical probabilities: %s | single-row = batch: %s\n",
+              identity_ok ? "yes" : "NO — BUG",
+              single_row_ok ? "yes" : "NO — BUG");
   std::printf("  compiled speedup: %.1fx vs tree-walk (gate: >=10x%s): %s\n\n",
               compiled_speedup, smoke ? ", skipped in smoke" : "",
               speedup_ok ? "ok" : "FAIL");
@@ -515,6 +532,7 @@ int main(int argc, char** argv) {
          << ",\n    \"compiled_rows_per_s_1t\": " << thr_cf_1t
          << ", \"compiled_rows_per_s_" << max_threads
          << "t\": " << thr_cf_nt
+         << ", \"compiled_single_row_rows_per_s_1t\": " << thr_cf_single
          << ",\n    \"compiled_speedup_1t\": " << compiled_speedup
          << ", \"compiled_identical\": "
          << (identity_ok ? "true" : "false") << "},\n";
@@ -529,6 +547,8 @@ int main(int argc, char** argv) {
          << ", \"accuracy_delta\": " << (accuracy_ok ? "\"pass\"" : "\"fail\"")
          << ",\n    \"compiled_identity\": "
          << (identity_ok ? "\"pass\"" : "\"fail\"")
+         << ", \"compiled_single_row_identity\": "
+         << (single_row_ok ? "\"pass\"" : "\"fail\"")
          << ", \"compiled_speedup_10x\": "
          << (speedup_ok ? "\"pass\"" : "\"fail\"")
          << ", \"cv_fold_parallel\": "
@@ -540,7 +560,7 @@ int main(int argc, char** argv) {
   }
 
   const bool ok = exact.deterministic && hist.deterministic && accuracy_ok &&
-                  identity_ok && speedup_ok && cv_identical &&
+                  identity_ok && single_row_ok && speedup_ok && cv_identical &&
                   (cv_not_slower || one_core);
   std::printf("\ngates: %s\n", ok ? "all pass" : "FAILED");
   return ok ? 0 : 1;

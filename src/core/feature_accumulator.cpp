@@ -197,14 +197,24 @@ void TlsFeatureAccumulator::snapshot_into(std::span<double> out) const {
 
   for (const util::OrderedSample* metric :
        {&dl_, &ul_, &dur_, &tdr_, &d2u_, &iat_}) {
-    const auto s = util::summarize_sorted(metric->sorted());
-    out[f++] = s.min;
-    out[f++] = s.median;
-    out[f++] = s.max;
+    const auto v = metric->sorted();
     if (config_.extended_stats) {
+      // summarize_sorted fixes the fold order of mean and stddev, which
+      // the batch extractor's rounding depends on.
+      const auto s = util::summarize_sorted(v);
+      out[f++] = s.min;
+      out[f++] = s.median;
+      out[f++] = s.max;
       out[f++] = s.mean;
       out[f++] = s.stddev;
+      continue;
     }
+    // The same expressions summarize_sorted uses, without its two O(n)
+    // passes for moments this config drops. An empty sample (IAT of a
+    // single transaction) reads as zeros, like summarize_sorted.
+    out[f++] = v.empty() ? 0.0 : v.front();
+    out[f++] = util::percentile_sorted(v, 50.0);
+    out[f++] = v.empty() ? 0.0 : v.back();
   }
 
   for (std::size_t i = 0; i < cum_dl_.size(); ++i) {

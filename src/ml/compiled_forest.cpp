@@ -25,12 +25,6 @@ namespace {
 // tree's node arrays are reused across the whole tile.
 constexpr std::size_t kRowTile = 256;
 
-// Independent descent chains walked in lockstep through one tree. The
-// fixed-trip-count descent has no early exit, so the chains issue
-// back-to-back loads with no branch between them — the out-of-order core
-// overlaps their latencies instead of serializing one chain per row.
-constexpr std::size_t kLanes = 8;
-
 // Sanity caps for load(): reject hostile dimensions from a model file
 // before they drive allocations. Classes/features/trees match
 // RandomForest::load; nodes and leaf-pool length are bounded well below
@@ -40,7 +34,7 @@ constexpr std::size_t kMaxLoadFeatures = 1 << 20;
 constexpr std::size_t kMaxLoadTrees = 1 << 16;
 constexpr std::size_t kMaxLoadNodes = 1 << 26;
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 [[noreturn]] void cf_parse_fail(const std::string& what) {
   throw ParseError("CompiledForest::load: " + what);
@@ -48,17 +42,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-void CompiledForest::append_sentinel() {
-  feature_.push_back(0);
-  threshold_.push_back(kInf);
-  left_.push_back(static_cast<std::int32_t>(left_.size()));
-  leaf_off_.push_back(0);
-}
-
 void CompiledForest::compute_depths() {
   // Forward pass: children always follow their parent, so one ascending
-  // sweep labels every reachable node with its tree and depth. Called
-  // before the sentinel is appended; leaves are already self-loops.
+  // sweep labels every reachable node with its tree and depth.
   const std::size_t n = feature_.size();
   depth_.assign(roots_.size(), 0);
   std::vector<std::int32_t> tree_of(n, -1);
@@ -68,7 +54,7 @@ void CompiledForest::compute_depths() {
   }
   for (std::size_t i = 0; i < n; ++i) {
     const std::int32_t t = tree_of[i];
-    if (t < 0 || left_[i] == static_cast<std::int32_t>(i)) continue;
+    if (t < 0 || is_leaf(i)) continue;
     const auto l = static_cast<std::size_t>(left_[i]);
     tree_of[l] = tree_of[l + 1] = t;
     node_depth[l] = node_depth[l + 1] = node_depth[i] + 1;
@@ -91,18 +77,18 @@ CompiledForest CompiledForest::compile(const RandomForest& forest) {
   CompiledForest cf;
   cf.num_classes_ = forest.num_classes();
   cf.num_features_ = static_cast<std::int32_t>(forest.num_features());
-  cf.feature_.reserve(total_nodes + 1);
-  cf.threshold_.reserve(total_nodes + 1);
-  cf.left_.reserve(total_nodes + 1);
-  cf.leaf_off_.reserve(total_nodes + 1);
+  cf.feature_.reserve(total_nodes);
+  cf.threshold_.reserve(total_nodes);
+  cf.left_.reserve(total_nodes);
+  cf.leaf_off_.reserve(total_nodes);
   cf.roots_.reserve(n_trees);
 
   const auto c_count = static_cast<std::size_t>(cf.num_classes_);
-  auto alloc_node = [&cf]() {
+  auto alloc_node = [&cf]() {  // a leaf until its source says otherwise
     const auto idx = static_cast<std::int32_t>(cf.feature_.size());
     cf.feature_.push_back(0);
-    cf.threshold_.push_back(kInf);
-    cf.left_.push_back(idx);
+    cf.threshold_.push_back(kNaN);
+    cf.left_.push_back(idx - 1);
     cf.leaf_off_.push_back(0);
     return idx;
   };
@@ -142,8 +128,17 @@ CompiledForest CompiledForest::compile(const RandomForest& forest) {
     }
   }
   cf.compute_depths();
-  cf.append_sentinel();
   return cf;
+}
+
+void CompiledForest::walk_lanes(std::int32_t (&idx)[kLanes],
+                                const double* const (&x)[kLanes],
+                                std::int32_t depth) const {
+  for (std::int32_t d = depth; d > 0; --d) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      idx[lane] = step(idx[lane], x[lane]);
+    }
+  }
 }
 
 void CompiledForest::predict_proba_into(std::span<const double> features,
@@ -155,15 +150,32 @@ void CompiledForest::predict_proba_into(std::span<const double> features,
       "CompiledForest::predict_proba_into: bad buffer size");
   std::fill(out.begin(), out.end(), 0.0);
   const double* x = features.data();
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    std::int32_t i = roots_[t];
-    for (std::int32_t d = depth_[t]; d > 0; --d) i = step(i, x);
-    const double* p =
-        leaf_probs_.data() + static_cast<std::size_t>(leaf_off_[
-            static_cast<std::size_t>(i)]);
+  const std::size_t n_trees = roots_.size();
+  std::size_t t = 0;
+  // kLanes trees descend this row in lockstep, each group for as many
+  // steps as its deepest tree needs (shallower lanes park on their
+  // self-looping leaf). Leaf distributions are then added in tree order,
+  // so the sums round exactly as predict_proba_row's.
+  for (; t + kLanes <= n_trees; t += kLanes) {
+    const double* xs[kLanes];
+    std::int32_t idx[kLanes];
+    std::int32_t dep = 0;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      xs[lane] = x;
+      idx[lane] = roots_[t + lane];
+      dep = std::max(dep, depth_[t + lane]);
+    }
+    walk_lanes(idx, xs, dep);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      const double* p = leaf(idx[lane]);
+      for (std::size_t c = 0; c < out.size(); ++c) out[c] += p[c];
+    }
+  }
+  for (; t < n_trees; ++t) {
+    const double* p = leaf(descend(roots_[t], depth_[t], x));
     for (std::size_t c = 0; c < out.size(); ++c) out[c] += p[c];
   }
-  const double inv = 1.0 / static_cast<double>(roots_.size());
+  const double inv = 1.0 / static_cast<double>(n_trees);
   for (auto& v : out) v *= inv;
   if (rows_predicted_ != nullptr) rows_predicted_->inc();
 }
@@ -201,28 +213,17 @@ void CompiledForest::batch_rows(std::span<const double> matrix,
           x[lane] = matrix.data() + (r + lane) * width;
           idx[lane] = root;
         }
-        for (std::int32_t d = dep; d > 0; --d) {
-          for (std::size_t lane = 0; lane < kLanes; ++lane) {
-            idx[lane] = step(idx[lane], x[lane]);
-          }
-        }
+        walk_lanes(idx, x, dep);
         double* o = out.data() + r * c_count;
         for (std::size_t lane = 0; lane < kLanes; ++lane) {
-          const double* p = leaf_probs_.data() +
-                            static_cast<std::size_t>(
-                                leaf_off_[static_cast<std::size_t>(idx[lane])]);
+          const double* p = leaf(idx[lane]);
           for (std::size_t c = 0; c < c_count; ++c) {
             o[lane * c_count + c] += p[c];
           }
         }
       }
       for (; r < hi; ++r) {
-        const double* x = matrix.data() + r * width;
-        std::int32_t i = root;
-        for (std::int32_t d = dep; d > 0; --d) i = step(i, x);
-        const double* p = leaf_probs_.data() +
-                          static_cast<std::size_t>(
-                              leaf_off_[static_cast<std::size_t>(i)]);
+        const double* p = leaf(descend(root, dep, matrix.data() + r * width));
         double* o = out.data() + r * c_count;
         for (std::size_t c = 0; c < c_count; ++c) o[c] += p[c];
       }
@@ -275,7 +276,7 @@ void CompiledForest::predict_proba_batch(const Dataset& data,
 void CompiledForest::save(std::ostream& os) const {
   DROPPKT_EXPECT(compiled(), "CompiledForest::save: not compiled");
   os.precision(std::numeric_limits<double>::max_digits10);
-  const std::size_t n = num_nodes();  // logical nodes, sentinel excluded
+  const std::size_t n = num_nodes();
   os << "droppkt-cf v1\n";
   os << num_classes_ << ' ' << num_features_ << ' ' << roots_.size() << ' '
      << n << ' ' << leaf_probs_.size() << '\n';
@@ -283,7 +284,7 @@ void CompiledForest::save(std::ostream& os) const {
     os << roots_[t] << (t + 1 == roots_.size() ? '\n' : ' ');
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (left_[i] == static_cast<std::int32_t>(i)) {
+    if (is_leaf(i)) {
       // Leaf, stored logically: feature -1, offset into the prob pool.
       os << "-1 0 " << leaf_off_[i] << '\n';
     } else {
@@ -365,8 +366,8 @@ CompiledForest CompiledForest::load(std::istream& is) {
     } else {
       // Leaf: install the self-loop hot form directly.
       cf.feature_[i] = 0;
-      cf.threshold_[i] = kInf;
-      cf.left_[i] = static_cast<std::int32_t>(i);
+      cf.threshold_[i] = kNaN;
+      cf.left_[i] = static_cast<std::int32_t>(i) - 1;
       cf.leaf_off_[i] = left;
     }
   }
@@ -384,7 +385,6 @@ CompiledForest CompiledForest::load(std::istream& is) {
     }
   }
   cf.compute_depths();
-  cf.append_sentinel();
   return cf;
 }
 

@@ -1,5 +1,6 @@
 // Flattened random-forest inference: structure-of-arrays node storage
-// with branch-light fixed-depth descent for batch prediction.
+// with branch-light fixed-depth descent, walked in lockstep lanes for
+// both batch and single-row prediction.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +24,17 @@ class RandomForest;
 /// arrays (feature index, raw threshold, left-child offset, leaf-prob
 /// offset) with sibling pairs adjacent, so one descent step is
 /// `i = left[i] + (x[feature[i]] > threshold[i])` — a data-dependent add,
-/// no branch on the comparison. Leaves self-loop (left[i] == i with a
-/// +infinity threshold), which makes the step total: descent runs a FIXED
-/// number of iterations (the tree's depth) instead of testing for a leaf
-/// each level. That removes the only unpredictable branch and lets the
-/// batch path walk several rows through one tree in lockstep — four
-/// independent load chains in flight instead of one, hiding most of the
-/// per-level load latency that bounds the pointer-walk design.
+/// no branch on the comparison. Leaves self-loop for every input (see
+/// the node arrays below), which makes the step total: descent runs a
+/// FIXED number of iterations (the tree's depth) instead of testing for
+/// a leaf each level. That removes the only unpredictable branch and lets
+/// kLanes (8) independent descents run in lockstep — eight load chains in
+/// flight instead of one, hiding most of the per-level load latency that
+/// bounds the pointer-walk design. Both prediction paths use it:
+///   * batch: eight rows walk one tree together;
+///   * single row: eight trees walk the one row together, each group for
+///     its deepest tree's step count (shallower lanes park on their
+///     self-looping leaf), then any remainder trees walk one at a time.
 ///
 /// Predictions are numerically byte-identical to the source forest's
 /// predict_proba* family: per row, leaf distributions accumulate in tree
@@ -40,8 +45,8 @@ class RandomForest;
 /// arrays stream through once per tile.
 ///
 /// Input contract: feature values must not be NaN (the source forest
-/// routes NaN right; compiled descent keeps it memory-safe but the
-/// returned distribution is unspecified). Finite values, including
+/// routes NaN right; compiled descent stays inside the node arrays but
+/// the returned distribution is unspecified). Finite values, including
 /// infinities, agree with the tree walk exactly.
 class CompiledForest {
  public:
@@ -57,10 +62,8 @@ class CompiledForest {
     return static_cast<std::size_t>(num_features_);
   }
   std::size_t num_trees() const { return roots_.size(); }
-  /// Total nodes across all trees (excluding the internal sentinel).
-  std::size_t num_nodes() const {
-    return feature_.empty() ? 0 : feature_.size() - 1;
-  }
+  /// Total nodes across all trees.
+  std::size_t num_nodes() const { return feature_.size(); }
 
   /// Single-row probabilities into a caller buffer (size num_classes).
   /// Allocation-free — safe on the monitor's zero-alloc emit path.
@@ -103,6 +106,12 @@ class CompiledForest {
   static CompiledForest load_file(const std::string& path);
 
  private:
+  // Independent descents walked in lockstep. The fixed-trip-count descent
+  // has no early exit, so the lanes issue back-to-back loads with no
+  // branch between them — the out-of-order core overlaps their latencies
+  // instead of serializing one chain.
+  static constexpr std::size_t kLanes = 8;
+
   // One descent step; total for every node because leaves self-loop.
   std::int32_t step(std::int32_t i, const double* x) const {
     const auto u = static_cast<std::size_t>(i);
@@ -112,18 +121,41 @@ class CompiledForest {
            static_cast<std::int32_t>(!(x[feature_[u]] <= threshold_[u]));
   }
 
+  // `depth` steps from node i over row x.
+  std::int32_t descend(std::int32_t i, std::int32_t depth,
+                       const double* x) const {
+    for (; depth > 0; --depth) i = step(i, x);
+    return i;
+  }
+
+  // Advance every lane `depth` steps: lane l from node idx[l] over row
+  // x[l].
+  void walk_lanes(std::int32_t (&idx)[kLanes],
+                  const double* const (&x)[kLanes], std::int32_t depth) const;
+
+  // The class distribution of leaf i.
+  const double* leaf(std::int32_t i) const {
+    return leaf_probs_.data() +
+           static_cast<std::size_t>(leaf_off_[static_cast<std::size_t>(i)]);
+  }
+
+  bool is_leaf(std::size_t i) const {
+    return left_[i] < static_cast<std::int32_t>(i);
+  }
+
   void batch_rows(std::span<const double> matrix, std::span<double> out,
                   std::size_t num_threads) const;
   void compute_depths();
-  void append_sentinel();
 
-  // Parallel per-node arrays across all trees, plus one trailing sentinel
-  // node so a (contract-violating) NaN step from the last leaf stays in
-  // bounds. Internal node: feature_[i] >= 0, left_[i] is the left child
-  // and left_[i] + 1 the right, both strictly after i. Leaf: self-loop —
-  // left_[i] == i, feature_[i] == 0, threshold_[i] == +infinity — with
-  // the offset of its num_classes_ probabilities in leaf_off_[i]
-  // (leaf_off_ is 0 at non-leaves; only leaves are ever read from).
+  // Parallel per-node arrays across all trees. Internal node:
+  // feature_[i] >= 0, left_[i] is the left child and left_[i] + 1 the
+  // right, both strictly after i. Leaf: left_[i] == i - 1,
+  // feature_[i] == 0, threshold_[i] == NaN. `x <= NaN` is false for every
+  // x, NaN included, so step() always adds 1 and lands back on i: a
+  // self-loop for any input, however long a lockstep group parks the
+  // lane there. leaf_off_[i] holds the offset of the leaf's num_classes_
+  // probabilities (leaf_off_ is 0 at non-leaves; only leaves are ever
+  // read from).
   std::vector<std::int32_t> feature_;
   std::vector<double> threshold_;
   std::vector<std::int32_t> left_;

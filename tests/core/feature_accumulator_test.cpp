@@ -56,6 +56,37 @@ void expect_bit_identical(const std::vector<double>& a,
   }
 }
 
+// Snapshot after every k-th observe, the cadence of a monitor's
+// provisional estimates, and compare each snapshot bit for bit with the
+// batch extractor over the same prefix. Short cadences make the samples
+// merge small unsorted tails into their sorted prefix; long ones (and the
+// batch extractor itself) take the full sort. Returns the final snapshot.
+std::vector<double> expect_cadence_matches_batch(
+    const trace::TlsLog& log, std::size_t k, const TlsFeatureConfig& config) {
+  TlsFeatureAccumulator acc(config);
+  trace::TlsLog prefix;
+  std::vector<double> snap;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    acc.observe(log[i]);
+    prefix.push_back(log[i]);
+    if ((i + 1) % k != 0 && i + 1 != log.size()) continue;
+    SCOPED_TRACE(testing::Message() << "cadence " << k << ", prefix of "
+                                    << prefix.size() << ", extended "
+                                    << config.extended_stats);
+    snap = acc.snapshot();
+    expect_bit_identical(snap, extract_tls_features(prefix, config));
+  }
+  return snap;
+}
+
+const std::size_t kCadences[] = {1, 4, 17};
+
+TlsFeatureConfig extended_config() {
+  TlsFeatureConfig extended;
+  extended.extended_stats = true;
+  return extended;
+}
+
 TEST(TlsFeatureAccumulator, EmptyLogIsAllZeros) {
   TlsFeatureAccumulator acc;
   const auto snap = acc.snapshot();
@@ -82,7 +113,11 @@ TEST(TlsFeatureAccumulator, BitIdenticalToBatchOnRandomLogs) {
   for (std::size_t trial = 0; trial < 50; ++trial) {
     const auto log =
         random_log(rng, 1 + static_cast<std::size_t>(rng.uniform_int(0, 99)));
-    expect_bit_identical(accumulate(log), extract_tls_features(log));
+    for (const auto& config : {TlsFeatureConfig{}, extended_config()}) {
+      for (const std::size_t k : kCadences) {
+        expect_cadence_matches_batch(log, k, config);
+      }
+    }
   }
 }
 
@@ -91,14 +126,20 @@ TEST(TlsFeatureAccumulator, ObservationOrderIsIrrelevant) {
   for (std::size_t trial = 0; trial < 30; ++trial) {
     auto log =
         random_log(rng, 2 + static_cast<std::size_t>(rng.uniform_int(0, 80)));
-    const auto batch = extract_tls_features(log);
-    // Several shuffles per log, including fully reversed (worst case for
-    // the interval-window rebuild: first_start decreases every step).
-    std::reverse(log.begin(), log.end());
-    expect_bit_identical(accumulate(log), batch);
-    for (int s = 0; s < 3; ++s) {
-      shuffle_log(log, rng);
-      expect_bit_identical(accumulate(log), batch);
+    for (const auto& config : {TlsFeatureConfig{}, extended_config()}) {
+      const auto batch = extract_tls_features(log, config);
+      // Several shuffles per log, including fully reversed (worst case
+      // for the interval-window rebuild: first_start decreases every
+      // step), each snapshotted at every cadence along the way.
+      auto permuted = log;
+      std::reverse(permuted.begin(), permuted.end());
+      for (int s = 0; s < 4; ++s) {
+        if (s > 0) shuffle_log(permuted, rng);
+        for (const std::size_t k : kCadences) {
+          expect_bit_identical(
+              expect_cadence_matches_batch(permuted, k, config), batch);
+        }
+      }
     }
   }
 }

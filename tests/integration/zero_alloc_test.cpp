@@ -149,36 +149,54 @@ TEST(ZeroAlloc, MonitorSteadyStateObserveAndEmit) {
   GTEST_SKIP() << "allocator owned by a sanitizer";
 #else
   const Feed& feed = steady_feed();
-  std::size_t sessions = 0;
-  core::MonitorConfig mcfg;
-  mcfg.materialize_transactions = false;
-  core::StreamingMonitor mon(
-      core::StreamingMonitor::ViewSinkTag{}, trained_estimator(),
-      [&](const core::MonitoredSessionView& s) {
-        sessions += s.records.empty() ? 0 : 1;
-      },
-      mcfg);
+  // Once with session emission only, once with an in-flight estimate
+  // (live accumulator snapshot + single-row forest predict) every 4th
+  // record per client.
+  for (const std::size_t provisional_every : {std::size_t{0}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "provisional_every "
+                                    << provisional_every);
+    std::size_t sessions = 0;
+    std::size_t provisionals = 0;
+    core::MonitorConfig mcfg;
+    mcfg.materialize_transactions = false;
+    mcfg.provisional_every = provisional_every;
+    core::StreamingMonitor mon(
+        core::StreamingMonitor::ViewSinkTag{}, trained_estimator(),
+        [&](const core::MonitoredSessionView& s) {
+          sessions += s.records.empty() ? 0 : 1;
+        },
+        mcfg);
+    if (provisional_every > 0) {
+      mon.set_provisional_callback(
+          [&](const core::ProvisionalEstimate&) { ++provisionals; });
+    }
 
-  // Warmup: the first 60% of records covers every client's first session
-  // plus (for most) the idle-gap emission that opens its second.
-  const std::size_t warm = feed.size() * 6 / 10;
-  for (std::size_t i = 0; i < warm; ++i) {
-    mon.observe(feed[i].client, feed[i].txn);
+    // Warmup: the first 60% of records covers every client's first
+    // session plus (for most) the idle-gap emission that opens its second.
+    const std::size_t warm = feed.size() * 6 / 10;
+    for (std::size_t i = 0; i < warm; ++i) {
+      mon.observe(feed[i].client, feed[i].txn);
+    }
+    const std::size_t warm_sessions = sessions;
+    const std::size_t warm_provisionals = provisionals;
+
+    const std::uint64_t before = t_allocations;
+    for (std::size_t i = warm; i < feed.size(); ++i) {
+      mon.observe(feed[i].client, feed[i].txn);
+    }
+    const std::uint64_t during = t_allocations - before;
+
+    mon.finish();
+    EXPECT_GT(warm_sessions, 0u) << "warmup never emitted — window too short";
+    EXPECT_GT(sessions, warm_sessions)
+        << "measured window emitted no sessions — it exercised no emit path";
+    if (provisional_every > 0) {
+      EXPECT_GT(provisionals, warm_provisionals)
+          << "measured window produced no provisional estimates";
+    }
+    EXPECT_EQ(during, 0u)
+        << during << " heap allocations in the steady-state observe window";
   }
-  const std::size_t warm_sessions = sessions;
-
-  const std::uint64_t before = t_allocations;
-  for (std::size_t i = warm; i < feed.size(); ++i) {
-    mon.observe(feed[i].client, feed[i].txn);
-  }
-  const std::uint64_t during = t_allocations - before;
-
-  mon.finish();
-  EXPECT_GT(warm_sessions, 0u) << "warmup never emitted — window too short";
-  EXPECT_GT(sessions, warm_sessions)
-      << "measured window emitted no sessions — it exercised no emit path";
-  EXPECT_EQ(during, 0u)
-      << during << " heap allocations in the steady-state observe window";
 #endif
 }
 

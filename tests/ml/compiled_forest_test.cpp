@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -70,18 +71,66 @@ void expect_equivalent(const RandomForest& rf, const CompiledForest& cf,
 }
 
 TEST(CompiledForest, MatchesTreeWalkOnRandomizedForests) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto train = make_problem(300, seed);
-    const auto probe = make_problem(517, seed + 100);  // not a tile multiple
+  // Single-row prediction walks trees in lockstep groups of eight, then
+  // the remainder one at a time: cover forests smaller than, equal to and
+  // just past one group, plus two groups and a remainder.
+  for (const std::size_t num_trees : {1u, 7u, 8u, 9u, 20u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << num_trees << " trees, seed "
+                                      << seed);
+      const auto train = make_problem(300, seed);
+      const auto probe = make_problem(517, seed + 100);  // not a tile multiple
+      RandomForestParams p;
+      p.num_trees = num_trees;
+      p.seed = seed;
+      p.num_threads = 1;
+      RandomForest rf(p);
+      rf.fit(train);
+      const auto cf = CompiledForest::compile(rf);
+      EXPECT_GT(cf.num_nodes(), rf.num_trees());
+      expect_equivalent(rf, cf, probe);
+    }
+  }
+}
+
+TEST(CompiledForest, NaNFeaturesStayInBounds) {
+  // NaN breaks the input contract, yet a finite feed can still produce
+  // one: byte counts near DBL_MAX overflow a rate to inf, and inf - inf
+  // in a median interpolation is NaN. Descent must stay inside the node
+  // arrays anyway, for every lockstep grouping: each leaf must hold its
+  // position for any input while deeper trees of its group keep walking.
+  // The distribution itself is unspecified, so only its shape is checked.
+  const auto train = make_problem(300, 5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t num_trees : {1u, 7u, 8u, 9u, 20u}) {
     RandomForestParams p;
-    p.num_trees = 20;
-    p.seed = seed;
+    p.num_trees = num_trees;
+    p.seed = 5;
     p.num_threads = 1;
     RandomForest rf(p);
     rf.fit(train);
     const auto cf = CompiledForest::compile(rf);
-    EXPECT_GT(cf.num_nodes(), rf.num_trees());
-    expect_equivalent(rf, cf, probe);
+    const auto c_count = static_cast<std::size_t>(rf.num_classes());
+    const std::size_t width = train.num_features();
+    // Row f has NaN in feature f only; the last row is all NaN.
+    std::vector<double> matrix((width + 1) * width, 0.5);
+    for (std::size_t f = 0; f < width; ++f) matrix[f * width + f] = nan;
+    std::fill(matrix.end() - static_cast<std::ptrdiff_t>(width),
+              matrix.end(), nan);
+    std::vector<double> batch(matrix.size() / width * c_count);
+    cf.predict_proba_batch(matrix, batch, 1);
+    std::vector<double> single(c_count);
+    for (std::size_t r = 0; r <= width; ++r) {
+      cf.predict_proba_into({matrix.data() + r * width, width}, single);
+      for (const double* proba : {single.data(), batch.data() + r * c_count}) {
+        double sum = 0.0;
+        for (std::size_t c = 0; c < c_count; ++c) {
+          EXPECT_GE(proba[c], 0.0);
+          sum += proba[c];
+        }
+        EXPECT_NEAR(sum, 1.0, 1e-9) << num_trees << " trees, row " << r;
+      }
+    }
   }
 }
 

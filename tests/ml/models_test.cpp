@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
@@ -35,6 +36,10 @@ struct ModelCase {
   std::string name;
   std::function<std::unique_ptr<Classifier>()> make;
 };
+
+// Print a case as its model name, so the parameter shown in test names is
+// stable rather than a byte dump of the string and function pointers.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
 
 class AllModels : public ::testing::TestWithParam<ModelCase> {};
 
@@ -96,10 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
         ModelCase{"gbt", [] { return std::unique_ptr<Classifier>(
                                   std::make_unique<GradientBoosting>()); }},
         ModelCase{"mlp", [] { return std::unique_ptr<Classifier>(
-                                  std::make_unique<MlpClassifier>()); }}),
-    [](const ::testing::TestParamInfo<ModelCase>& param_info) {
-      return param_info.param.name;
-    });
+                                  std::make_unique<MlpClassifier>()); }}));
 
 // ---- Standardizer --------------------------------------------------------
 

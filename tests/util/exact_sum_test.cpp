@@ -95,17 +95,47 @@ TEST(ExactSum, SurvivesInlineBufferOverflow) {
 
 TEST(OrderedSample, SortedViewMatchesStdSortForAnyOrder) {
   Rng rng(7);
-  for (int trial = 0; trial < 30; ++trial) {
-    std::vector<double> values;
-    const int n = static_cast<int>(rng.uniform_int(0, 40));
-    for (int i = 0; i < n; ++i) values.push_back(rng.uniform(-5.0, 5.0));
-    OrderedSample sample;
-    for (double v : values) sample.insert(v);
-    std::sort(values.begin(), values.end());
-    const auto view = sample.sorted();
-    ASSERT_EQ(view.size(), values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      EXPECT_EQ(view[i], values[i]);
+  // Query after every k-th insert, the way a monitor snapshots every few
+  // records: tails of up to 20 values land on both sides of the merge
+  // buffer's length, and the final query catches a tail of any length.
+  // Half the values come from an integer grid so duplicates straddle the
+  // merge; shapes cycle through random, nearly ascending (the in-order
+  // fast path with occasional stragglers) and descending.
+  for (std::size_t k = 1; k <= 20; ++k) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(0, 600));
+      std::vector<double> inserted;
+      OrderedSample sample;
+      const auto expect_sorted_multiset = [&] {
+        std::vector<double> want = inserted;
+        std::sort(want.begin(), want.end());
+        const auto view = sample.sorted();
+        ASSERT_EQ(view.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(view[i], want[i])
+              << "k " << k << " trial " << trial << " size " << want.size()
+              << " index " << i;
+        }
+      };
+      double level = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        double v = rng.uniform01() < 0.5
+                       ? static_cast<double>(rng.uniform_int(-5, 5))
+                       : rng.uniform(-5.0, 5.0);
+        if (trial % 3 == 1) {
+          level += rng.uniform(0.0, 0.1);
+          if (rng.uniform01() < 0.8) v = level;
+        } else if (trial % 3 == 2) {
+          v = -static_cast<double>(i);
+        }
+        sample.insert(v);
+        inserted.push_back(v);
+        if ((i + 1) % k == 0) {
+          expect_sorted_multiset();
+          if (HasFatalFailure()) return;
+        }
+      }
+      expect_sorted_multiset();
     }
   }
 }

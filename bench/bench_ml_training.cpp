@@ -293,8 +293,10 @@ CurveResult run_fit_curve(const Dataset& train,
     }
     out.runs.push_back(run);
 
+    // Compiled text: every split feature, threshold and leaf probability
+    // at max_digits10, in pre-order child layout.
     std::stringstream model;
-    forest.save(model);
+    droppkt::ml::CompiledForest::compile(forest).save(model);
     if (threads == thread_counts.front()) {
       model_first = model.str();
       out.forest_1t.emplace(std::move(forest));

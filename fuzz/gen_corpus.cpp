@@ -10,17 +10,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/estimator.hpp"
 #include "engine/feed.hpp"
 #include "engine/replay.hpp"
-#include "ml/dataset.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/gbt.hpp"
-#include "ml/random_forest.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/wire.hpp"
 #include "trace/capture.hpp"
@@ -65,17 +62,22 @@ TlsTransaction txn(double start, double end, double ul, double dl,
   return t;
 }
 
-droppkt::ml::Dataset tiny_dataset() {
-  droppkt::ml::Dataset data({"rate_mbps", "gap_s", "chunks"}, 2);
-  // A separable toy problem: class 1 iff rate < gap.
-  const double rows[][3] = {{0.4, 2.0, 3.0}, {0.6, 1.8, 4.0}, {0.5, 2.2, 2.0},
-                            {3.0, 0.2, 9.0}, {2.8, 0.4, 8.0}, {3.5, 0.1, 7.0},
-                            {0.7, 1.5, 5.0}, {2.5, 0.3, 6.0}};
-  for (std::size_t i = 0; i < std::size(rows); ++i) {
-    data.add_row({rows[i][0], rows[i][1], rows[i][2]},
-                 rows[i][0] < rows[i][1] ? 1 : 0);
+// A toy labelled corpus whose class follows the download volume, so a
+// tiny forest splits on real features.
+std::vector<std::pair<TlsLog, int>> tiny_sessions() {
+  std::vector<std::pair<TlsLog, int>> sessions;
+  for (int i = 0; i < 12; ++i) {
+    const int label = i % 3;
+    TlsLog log;
+    for (int k = 0; k < 6; ++k) {
+      const double start = 10.0 * k + i;
+      log.push_back(txn(start, start + 4.0, 800.0 + i,
+                        4.0e5 * (label + 1) + 1.0e3 * i, 2,
+                        "video.example.com"));
+    }
+    sessions.emplace_back(std::move(log), label);
   }
-  return data;
+  return sessions;
 }
 
 }  // namespace
@@ -86,33 +88,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const fs::path root = argv[1];
-
-  // --- tls_binary: output of write_tls_binary -------------------------
-  {
-    const fs::path dir = root / "tls_binary";
-    {
-      std::ostringstream os(std::ios::binary);
-      droppkt::trace::write_tls_binary({}, os);
-      write_seed(dir, "seed-empty.bin", os.str());
-    }
-    TlsLog log;
-    log.push_back(txn(0.0, 1.5, 900.0, 250000.0, 3, "video.example.com"));
-    log.push_back(txn(1.6, 4.25, 1200.5, 1.75e6, 12, "cdn.example.net"));
-    log.push_back(txn(4.3, 4.3, 0.0, 0.0, 0, ""));
-    {
-      std::ostringstream os(std::ios::binary);
-      droppkt::trace::write_tls_binary(log, os);
-      write_seed(dir, "seed-three-records.bin", os.str());
-    }
-    TlsLog weird;
-    weird.push_back(txn(-10.0, 1e9, 0.5, 6.02e23, 1000000,
-                        std::string(300, 'a') + ".example"));
-    {
-      std::ostringstream os(std::ios::binary);
-      droppkt::trace::write_tls_binary(weird, os);
-      write_seed(dir, "seed-extremes.bin", os.str());
-    }
-  }
 
   // --- feed_line: output of write_feed --------------------------------
   {
@@ -159,42 +134,25 @@ int main(int argc, char** argv) {
     write_seed(dir, "seed-header-only.csv", "alpha,beta\n");
   }
 
-  // --- model: saved DecisionTree, RandomForest, GradientBoosting -------
+  // --- model: QoeEstimator::save of tiny estimators ------------------
   {
     const fs::path dir = root / "model";
-    const droppkt::ml::Dataset data = tiny_dataset();
-    {
-      droppkt::ml::DecisionTreeParams p;
-      p.max_depth = 3;
-      droppkt::ml::DecisionTree tree(p);
-      tree.fit(data);
+    const auto sessions = tiny_sessions();
+    droppkt::core::EstimatorConfig cfg;
+    cfg.forest.num_trees = 3;
+    cfg.forest.max_depth = 3;
+    cfg.forest.num_threads = 1;
+    const auto save_seed = [&](const std::string& name) {
+      droppkt::core::QoeEstimator est(cfg);
+      est.train_raw(sessions);
       std::ostringstream os;
-      tree.save(os);
-      write_seed(dir, "seed-tree.txt", os.str());
-    }
-    {
-      droppkt::ml::RandomForestParams p;
-      p.num_trees = 3;
-      p.max_depth = 3;
-      p.num_threads = 1;
-      droppkt::ml::RandomForest forest(p);
-      forest.fit(data);
-      std::ostringstream os;
-      forest.save(os);
-      write_seed(dir, "seed-forest.txt", os.str());
-    }
-    {
-      droppkt::ml::GradientBoostingParams p;
-      p.num_rounds = 4;
-      p.max_depth = 2;
-      p.min_samples_leaf = 1;
-      p.subsample = 1.0;
-      droppkt::ml::GradientBoosting gbt(p);
-      gbt.fit(data);
-      std::ostringstream os;
-      gbt.save(os);
-      write_seed(dir, "seed-gbt.txt", os.str());
-    }
+      est.save(os);
+      write_seed(dir, name, os.str());
+    };
+    save_seed("seed-estimator.txt");
+    cfg.target = droppkt::core::QoeTarget::kRebuffering;
+    cfg.features.interval_ends_s = {12.3456789, 45.0, 1e-3};
+    save_seed("seed-custom-intervals.txt");
   }
 
   // --- telemetry_wire: droppkt-tm v1 streams from the repo's encoders ---

@@ -2,18 +2,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/estimator.hpp"
 #include "engine/feed.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/gbt.hpp"
-#include "ml/random_forest.hpp"
 #include "telemetry/wire.hpp"
 #include "trace/capture.hpp"
-#include "trace/serialize.hpp"
 #include "util/csv.hpp"
 #include "util/expect.hpp"
 
@@ -37,33 +35,6 @@ bool txn_equal(const trace::TlsTransaction& a, const trace::TlsTransaction& b) {
 }
 
 }  // namespace
-
-int one_tls_binary(const std::uint8_t* data, std::size_t size) {
-  trace::TlsLog log;
-  try {
-    log = trace::read_tls_binary(std::span<const std::uint8_t>(data, size));
-  } catch (const ParseError&) {
-    return 0;  // rejected cleanly — the expected outcome for random bytes
-  }
-  // Anything the reader accepted must re-serialize and re-parse to the
-  // same log: the round-trip invariant the CSV path cannot offer.
-  const auto bytes = trace::tls_binary_bytes(log);
-  trace::TlsLog back;
-  try {
-    back = trace::read_tls_binary(std::span<const std::uint8_t>(bytes));
-  } catch (const ParseError&) {
-    harness_fail("tls_binary", "writer output rejected by the reader");
-  }
-  if (back.size() != log.size()) {
-    harness_fail("tls_binary", "round-trip changed the record count");
-  }
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    if (!txn_equal(log[i], back[i])) {
-      harness_fail("tls_binary", "round-trip changed a record");
-    }
-  }
-  return 0;
-}
 
 int one_feed_line(const std::uint8_t* data, std::size_t size) {
   std::istringstream is(as_text(data, size));
@@ -134,55 +105,42 @@ int one_csv(const std::uint8_t* data, std::size_t size) {
   return 0;
 }
 
-namespace {
-
-void exercise_tree(const ml::DecisionTree& tree) {
-  const std::vector<double> mid(tree.num_features(), 0.5);
-  const std::vector<double> lo(tree.num_features(), -1e308);
-  const int p1 = tree.predict(mid);
-  (void)tree.predict(lo);
-  (void)tree.predict_proba(mid);
-  (void)tree.depth();
-  // A loaded tree must survive save + reload with identical predictions.
-  std::stringstream ss;
-  tree.save(ss);
-  const ml::DecisionTree back = ml::DecisionTree::load(ss);
-  if (back.predict(mid) != p1 || back.node_count() != tree.node_count()) {
-    harness_fail("model", "tree save/load round-trip diverged");
-  }
-}
-
-}  // namespace
-
 int one_model(const std::uint8_t* data, std::size_t size) {
-  const std::string text = as_text(data, size);
+  core::QoeEstimator est;
   {
-    std::istringstream is(text);
+    std::istringstream is(as_text(data, size));
     try {
-      const ml::DecisionTree tree = ml::DecisionTree::load(is);
-      exercise_tree(tree);
+      est = core::QoeEstimator::load(is);
     } catch (const ParseError&) {
+      return 0;
     }
   }
-  {
-    std::istringstream is(text);
-    try {
-      const ml::RandomForest forest = ml::RandomForest::load(is);
-      const std::vector<double> mid(forest.num_features(), 0.5);
-      (void)forest.predict(mid);
-      (void)forest.predict_proba(mid);
-    } catch (const ParseError&) {
-    }
+  // Whatever the loader accepts must serve, or a monitoring node would
+  // throw from a shard worker on its first session.
+  try {
+    const std::vector<double> row(est.feature_count(), 0.5);
+    std::vector<double> proba(static_cast<std::size_t>(core::kNumQoeClasses));
+    (void)est.predict_into(row, proba);
+    trace::TlsLog log(1);
+    log[0].end_s = 40.0;
+    log[0].dl_bytes = 1e6;
+    (void)est.predict(log);
+  } catch (const std::exception&) {
+    harness_fail("model", "accepted model threw on predict");
   }
-  {
-    std::istringstream is(text);
-    try {
-      const ml::GradientBoosting gbt = ml::GradientBoosting::load(is);
-      const std::vector<double> mid(gbt.num_features(), 0.5);
-      (void)gbt.predict(mid);
-      (void)gbt.predict_proba(mid);
-    } catch (const ParseError&) {
-    }
+  std::ostringstream first;
+  est.save(first);
+  std::istringstream in(first.str());
+  core::QoeEstimator back;
+  try {
+    back = core::QoeEstimator::load(in);
+  } catch (const ParseError&) {
+    harness_fail("model", "writer output rejected by the loader");
+  }
+  std::ostringstream second;
+  back.save(second);
+  if (second.str() != first.str()) {
+    harness_fail("model", "save/load/save changed the model text");
   }
   return 0;
 }

@@ -16,9 +16,6 @@
 
 namespace droppkt::fuzz {
 
-/// Binary TLS record stream: parse, re-serialize, re-parse, compare.
-int one_tls_binary(const std::uint8_t* data, std::size_t size);
-
 /// Proxy feed text lines: parse each line; successful parses must
 /// round-trip bit-exactly through write_feed_line.
 int one_feed_line(const std::uint8_t* data, std::size_t size);
@@ -27,9 +24,10 @@ int one_feed_line(const std::uint8_t* data, std::size_t size);
 /// write + re-read with identical header and rows.
 int one_csv(const std::uint8_t* data, std::size_t size);
 
-/// Model deserialization: the same bytes are offered to DecisionTree,
-/// RandomForest and GradientBoosting load; anything accepted must predict
-/// without crashing and survive a save/load round-trip.
+/// Estimator model file (the one format serving nodes load): offered to
+/// core::QoeEstimator::load; anything accepted must predict a
+/// feature_count() row and a TLS log without any exception, and its
+/// save -> load -> save must be byte-identical.
 int one_model(const std::uint8_t* data, std::size_t size);
 
 /// droppkt-tm v1 telemetry stream: decode (unknown tags and frame types

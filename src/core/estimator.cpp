@@ -1,15 +1,17 @@
 #include "core/estimator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "util/expect.hpp"
 #include "util/thread_pool.hpp"
 
 namespace droppkt::core {
 
-QoeEstimator::QoeEstimator(Config config)
-    : config_(std::move(config)), forest_(config_.forest) {}
+QoeEstimator::QoeEstimator(Config config) : config_(std::move(config)) {}
 
 void QoeEstimator::train(const LabeledDataset& sessions) {
   std::vector<std::pair<trace::TlsLog, int>> labelled;
@@ -35,11 +37,11 @@ void QoeEstimator::train_raw(
     acc.snapshot_into(row);
     data.add_row(std::span<const double>(row), label);
   }
-  forest_ = ml::RandomForest(config_.forest);
-  forest_.fit(data);
-  compiled_ = ml::CompiledForest::compile(forest_);
+  ml::RandomForest forest(config_.forest);
+  forest.fit(data);
+  compiled_ = ml::CompiledForest::compile(forest);
   compiled_.bind_telemetry(predictions_ctr_);
-  trained_ = true;
+  importances_ = forest.ranked_importances();
 }
 
 void QoeEstimator::bind_telemetry(telemetry::Counter* predictions) {
@@ -48,13 +50,13 @@ void QoeEstimator::bind_telemetry(telemetry::Counter* predictions) {
 }
 
 int QoeEstimator::predict(const trace::TlsLog& session) const {
-  DROPPKT_EXPECT(trained_, "QoeEstimator: predict before train");
+  DROPPKT_EXPECT(trained(), "QoeEstimator: predict before train");
   return compiled_.predict(extract_tls_features(session, config_.features));
 }
 
 std::vector<double> QoeEstimator::predict_proba(
     const trace::TlsLog& session) const {
-  DROPPKT_EXPECT(trained_, "QoeEstimator: predict before train");
+  DROPPKT_EXPECT(trained(), "QoeEstimator: predict before train");
   std::vector<double> proba(static_cast<std::size_t>(kNumQoeClasses));
   compiled_.predict_proba_into(
       extract_tls_features(session, config_.features), proba);
@@ -71,7 +73,7 @@ int QoeEstimator::predict_into(std::span<const double> features,
 
 void QoeEstimator::predict_proba_into(std::span<const double> features,
                                       std::span<double> out) const {
-  DROPPKT_EXPECT(trained_, "QoeEstimator: predict before train");
+  DROPPKT_EXPECT(trained(), "QoeEstimator: predict before train");
   compiled_.predict_proba_into(features, out);
 }
 
@@ -85,7 +87,7 @@ int QoeEstimator::predict_into(const TlsFeatureAccumulator& acc,
 void QoeEstimator::predict_proba_batch(std::span<const trace::TlsLog> sessions,
                                        std::span<double> out,
                                        std::size_t num_threads) const {
-  DROPPKT_EXPECT(trained_, "QoeEstimator: predict before train");
+  DROPPKT_EXPECT(trained(), "QoeEstimator: predict before train");
   const std::size_t rows = sessions.size();
   const auto c_count = static_cast<std::size_t>(kNumQoeClasses);
   DROPPKT_EXPECT(out.size() == rows * c_count,
@@ -146,57 +148,92 @@ const std::string& QoeEstimator::class_name(int cls) const {
 
 std::vector<std::pair<std::string, double>> QoeEstimator::feature_importances()
     const {
-  DROPPKT_EXPECT(trained_, "QoeEstimator: importances before train");
-  return forest_.ranked_importances();
+  DROPPKT_EXPECT(trained(), "QoeEstimator: importances before train");
+  DROPPKT_EXPECT(!importances_.empty(),
+                 "QoeEstimator: a loaded estimator carries no importances");
+  return importances_;
+}
+
+namespace {
+
+[[noreturn]] void estimator_parse_fail(const std::string& what) {
+  throw ParseError("QoeEstimator::load: " + what);
+}
+
+}  // namespace
+
+void QoeEstimator::save(std::ostream& os) const {
+  DROPPKT_EXPECT(trained(), "QoeEstimator: save before train");
+  DROPPKT_EXPECT(!config_.features.extended_stats,
+                 "QoeEstimator::save: extended_stats is not persisted");
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << "droppkt-estimator v2\n";
+  os << static_cast<int>(config_.target) << '\n';
+  os << config_.features.interval_ends_s.size();
+  for (double end : config_.features.interval_ends_s) os << ' ' << end;
+  os << '\n';
+  compiled_.save(os);
+}
+
+QoeEstimator QoeEstimator::load(std::istream& is) {
+  std::string header;
+  std::getline(is, header);
+  if (header != "droppkt-estimator v2") {
+    estimator_parse_fail("unrecognized header '" + header + "'");
+  }
+  int target = 0;
+  std::size_t n_intervals = 0;
+  is >> target >> n_intervals;
+  if (!is.good() || target < 0 || target > 2 || n_intervals < 1 ||
+      n_intervals > 1000) {
+    estimator_parse_fail("malformed config");
+  }
+  Config config;
+  config.target = static_cast<QoeTarget>(target);
+  config.features.interval_ends_s.resize(n_intervals);
+  for (auto& end : config.features.interval_ends_s) {
+    is >> end;
+    if (is.fail()) estimator_parse_fail("truncated interval list");
+    // The accumulator rejects these only when it is built — for a served
+    // model, on the first session.
+    if (!std::isfinite(end) || end <= 0.0) {
+      estimator_parse_fail("interval ends must be finite and > 0");
+    }
+  }
+  is.ignore(1, '\n');
+
+  QoeEstimator estimator(std::move(config));
+  estimator.compiled_ = ml::CompiledForest::load(is);
+  // The envelope and the forest must agree, or the first prediction
+  // would throw from inside a serving thread.
+  if (estimator.compiled_.num_features() != estimator.feature_count()) {
+    estimator_parse_fail(
+        "forest width " + std::to_string(estimator.compiled_.num_features()) +
+        " != " + std::to_string(estimator.feature_count()) +
+        " features of the interval list");
+  }
+  if (estimator.compiled_.num_classes() != kNumQoeClasses) {
+    estimator_parse_fail("forest has " +
+                         std::to_string(estimator.compiled_.num_classes()) +
+                         " classes, expected " +
+                         std::to_string(kNumQoeClasses));
+  }
+  return estimator;
 }
 
 void QoeEstimator::save_file(const std::string& path) const {
-  DROPPKT_EXPECT(trained_, "QoeEstimator: save before train");
+  // Checked before the file is created, so a refused save leaves none.
+  DROPPKT_EXPECT(trained(), "QoeEstimator: save before train");
   std::ofstream ofs(path);
   if (!ofs) throw std::runtime_error("QoeEstimator: cannot open " + path);
-  ofs << "droppkt-estimator v1\n";
-  ofs << static_cast<int>(config_.target) << '\n';
-  ofs << config_.features.interval_ends_s.size();
-  for (double end : config_.features.interval_ends_s) ofs << ' ' << end;
-  ofs << '\n';
-  forest_.save(ofs);
+  save(ofs);
   if (!ofs) throw std::runtime_error("QoeEstimator: write failed " + path);
 }
 
 QoeEstimator QoeEstimator::load_file(const std::string& path) {
   std::ifstream ifs(path);
   if (!ifs) throw std::runtime_error("QoeEstimator: cannot open " + path);
-  std::string header;
-  std::getline(ifs, header);
-  if (header != "droppkt-estimator v1") {
-    throw ParseError("QoeEstimator::load: unrecognized header '" + header +
-                     "'");
-  }
-  int target = 0;
-  std::size_t n_intervals = 0;
-  ifs >> target >> n_intervals;
-  if (!ifs.good() || target < 0 || target > 2 || n_intervals < 1 ||
-      n_intervals > 1000) {
-    throw ParseError("QoeEstimator::load: malformed config");
-  }
-  Config config;
-  config.target = static_cast<QoeTarget>(target);
-  config.features.interval_ends_s.resize(n_intervals);
-  for (auto& end : config.features.interval_ends_s) ifs >> end;
-  if (ifs.fail()) {
-    throw ParseError("QoeEstimator::load: truncated interval list");
-  }
-  ifs.ignore(1, '\n');
-
-  QoeEstimator estimator(config);
-  estimator.forest_ = ml::RandomForest::load(ifs);
-  DROPPKT_EXPECT(
-      estimator.forest_.num_trees() >= 1,
-      "QoeEstimator::load: model file contained no trees");
-  estimator.compiled_ = ml::CompiledForest::compile(estimator.forest_);
-  estimator.compiled_.bind_telemetry(estimator.predictions_ctr_);
-  estimator.trained_ = true;
-  return estimator;
+  return load(ifs);
 }
 
 }  // namespace droppkt::core

@@ -5,6 +5,7 @@
 // from their TLS transaction logs.
 #pragma once
 
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,10 +28,11 @@ struct EstimatorConfig {
 
 /// End-to-end estimator: TLS log -> 38 features -> Random Forest -> class.
 ///
-/// Every predict* method serves from a ml::CompiledForest flattened once
-/// at train/load time — the tree-walk forest is kept for training,
-/// importances and serialization, inference runs on the flat arrays.
-/// Results are byte-identical to voting the tree-walk forest directly.
+/// The estimator holds only a ml::CompiledForest: training fits a
+/// tree-walk forest, compiles it, keeps its importances and drops it, and
+/// loading reads the compiled form straight from the model file. Every
+/// predict* method serves from the flat arrays, byte-identical to voting
+/// the tree-walk forest directly.
 class QoeEstimator {
  public:
   using Config = EstimatorConfig;
@@ -43,7 +45,7 @@ class QoeEstimator {
   /// Train directly on (TLS log, class label) pairs — the deployment path.
   void train_raw(const std::vector<std::pair<trace::TlsLog, int>>& labelled);
 
-  bool trained() const { return trained_; }
+  bool trained() const { return compiled_.compiled(); }
   const Config& config() const { return config_; }
 
   /// Predicted class for a session (0 = worst, 2 = best).
@@ -99,10 +101,21 @@ class QoeEstimator {
                            std::size_t num_threads = 0) const;
 
   /// Forest feature importances paired with feature names, descending.
+  /// Only a trained estimator has them: the model file does not carry
+  /// them, so a loaded estimator throws ContractViolation.
   std::vector<std::pair<std::string, double>> feature_importances() const;
 
-  /// Persist the trained estimator (target, feature intervals, forest) so
-  /// monitoring nodes can load it without the training corpus.
+  /// Persist the trained estimator so monitoring nodes can load it
+  /// without the training corpus. Format: a "droppkt-estimator v2" line,
+  /// the target, the interval ends (count first, max_digits10), then the
+  /// ml::CompiledForest::save body. extended_stats is not persisted, so
+  /// such an estimator cannot be saved.
+  void save(std::ostream& os) const;
+  /// Rebuild from `save` output. The stream is operator-supplied input:
+  /// throws droppkt::ParseError on anything malformed, including interval
+  /// ends that are not finite and > 0 and a forest whose width or class
+  /// count disagrees with the envelope.
+  static QoeEstimator load(std::istream& is);
   void save_file(const std::string& path) const;
   static QoeEstimator load_file(const std::string& path);
 
@@ -115,11 +128,11 @@ class QoeEstimator {
 
  private:
   Config config_;
-  ml::RandomForest forest_;
-  ml::CompiledForest compiled_;  // rebuilt after every train/load
+  ml::CompiledForest compiled_;  // replaced by every train/load
+  /// Ranked importances of the last trained forest; empty when loaded.
+  std::vector<std::pair<std::string, double>> importances_;
   /// Borrowed prediction counter re-applied at every compile site.
   telemetry::Counter* predictions_ctr_ = nullptr;
-  bool trained_ = false;
 };
 
 }  // namespace droppkt::core

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,14 +23,17 @@ namespace {
 // tree's node arrays are reused across the whole tile.
 constexpr std::size_t kRowTile = 256;
 
-// Sanity caps for load(): reject hostile dimensions from a model file
-// before they drive allocations. Classes/features/trees match
-// RandomForest::load; nodes and leaf-pool length are bounded well below
-// the int32 offset range.
+// Sanity caps for load(): a model file is operator-supplied input, and a
+// claimed dimension past these is hostile or corrupt. Nodes and
+// leaf-pool length are bounded well below the int32 offset range.
 constexpr std::size_t kMaxLoadClasses = 4096;
 constexpr std::size_t kMaxLoadFeatures = 1 << 20;
 constexpr std::size_t kMaxLoadTrees = 1 << 16;
 constexpr std::size_t kMaxLoadNodes = 1 << 26;
+// load() grows its arrays as entries arrive from this capped reserve, so
+// a header claiming 2^26 nodes costs only as much memory as the stream
+// actually holds before it runs dry.
+constexpr std::size_t kLoadReserve = 4096;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -297,13 +298,6 @@ void CompiledForest::save(std::ostream& os) const {
   }
 }
 
-void CompiledForest::save_file(const std::string& path) const {
-  std::ofstream ofs(path);
-  if (!ofs) throw std::runtime_error("CompiledForest: cannot open " + path);
-  save(ofs);
-  if (!ofs) throw std::runtime_error("CompiledForest: write failed " + path);
-}
-
 CompiledForest CompiledForest::load(std::istream& is) {
   std::string header;
   std::getline(is, header);
@@ -323,23 +317,21 @@ CompiledForest CompiledForest::load(std::istream& is) {
     cf_parse_fail("implausible dimensions");
   }
   cf.num_features_ = static_cast<std::int32_t>(n_features);
-  cf.roots_.resize(n_trees);
-  for (auto& root : cf.roots_) {
+  cf.roots_.reserve(std::min(n_trees, kLoadReserve));
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    std::int32_t root = 0;
     is >> root;
     if (is.fail()) cf_parse_fail("truncated roots");
     if (root < 0 || static_cast<std::size_t>(root) >= n_nodes) {
       cf_parse_fail("root index out of range");
     }
+    cf.roots_.push_back(root);
   }
-  cf.feature_.resize(n_nodes);
-  cf.threshold_.resize(n_nodes);
-  cf.left_.resize(n_nodes);
-  cf.leaf_off_.assign(n_nodes, 0);
-  // In-degree guard: every node may be the child of at most one internal
-  // node and roots of none — together with "children follow parents"
-  // this forces a forest of proper disjoint trees, so the fixed-depth
-  // descent computed below reaches a leaf on every path.
-  std::vector<std::uint8_t> indegree(n_nodes, 0);
+  const std::size_t node_reserve = std::min(n_nodes, kLoadReserve);
+  cf.feature_.reserve(node_reserve);
+  cf.threshold_.reserve(node_reserve);
+  cf.left_.reserve(node_reserve);
+  cf.leaf_off_.reserve(node_reserve);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     std::int32_t feature = 0, left = 0;
     double threshold = 0.0;
@@ -352,23 +344,33 @@ CompiledForest CompiledForest::load(std::istream& is) {
           static_cast<std::size_t>(left) + 2 > n_nodes) {
         cf_parse_fail("malformed internal node " + std::to_string(i));
       }
-      const auto l = static_cast<std::size_t>(left);
-      if (++indegree[l] > 1 || ++indegree[l + 1] > 1) {
-        cf_parse_fail("node with multiple parents");
-      }
-      cf.feature_[i] = feature;
-      cf.threshold_[i] = threshold;
-      cf.left_[i] = left;
+      cf.feature_.push_back(feature);
+      cf.threshold_.push_back(threshold);
+      cf.left_.push_back(left);
+      cf.leaf_off_.push_back(0);
     } else if (feature != -1 || left < 0 ||
                static_cast<std::size_t>(left) % c_count != 0 ||
                static_cast<std::size_t>(left) + c_count > n_leaf) {
       cf_parse_fail("malformed leaf node " + std::to_string(i));
     } else {
       // Leaf: install the self-loop hot form directly.
-      cf.feature_[i] = 0;
-      cf.threshold_[i] = kNaN;
-      cf.left_[i] = static_cast<std::int32_t>(i) - 1;
-      cf.leaf_off_[i] = left;
+      cf.feature_.push_back(0);
+      cf.threshold_.push_back(kNaN);
+      cf.left_.push_back(static_cast<std::int32_t>(i) - 1);
+      cf.leaf_off_.push_back(left);
+    }
+  }
+  // In-degree guard, sized only now that every node is in: each node may
+  // be the child of at most one internal node and roots of none —
+  // together with "children follow parents" this forces a forest of
+  // proper disjoint trees, so the fixed-depth descent computed below
+  // reaches a leaf on every path.
+  std::vector<std::uint8_t> indegree(n_nodes, 0);
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    if (cf.is_leaf(i)) continue;
+    const auto l = static_cast<std::size_t>(cf.left_[i]);
+    if (++indegree[l] > 1 || ++indegree[l + 1] > 1) {
+      cf_parse_fail("node with multiple parents");
     }
   }
   for (const std::int32_t root : cf.roots_) {
@@ -376,22 +378,18 @@ CompiledForest CompiledForest::load(std::istream& is) {
       cf_parse_fail("root is another node's child");
     }
   }
-  cf.leaf_probs_.resize(n_leaf);
+  cf.leaf_probs_.reserve(std::min(n_leaf, kLoadReserve));
   for (std::size_t i = 0; i < n_leaf; ++i) {
-    is >> cf.leaf_probs_[i];
+    double p = 0.0;
+    is >> p;
     if (is.fail()) cf_parse_fail("truncated leaf distributions");
-    if (!std::isfinite(cf.leaf_probs_[i]) || cf.leaf_probs_[i] < 0.0) {
+    if (!std::isfinite(p) || p < 0.0) {
       cf_parse_fail("invalid leaf probability");
     }
+    cf.leaf_probs_.push_back(p);
   }
   cf.compute_depths();
   return cf;
-}
-
-CompiledForest CompiledForest::load_file(const std::string& path) {
-  std::ifstream ifs(path);
-  if (!ifs) throw std::runtime_error("CompiledForest: cannot open " + path);
-  return load(ifs);
 }
 
 }  // namespace droppkt::ml

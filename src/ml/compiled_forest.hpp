@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "telemetry/registry.hpp"
@@ -94,16 +93,16 @@ class CompiledForest {
   /// assignment: a freshly compiled forest starts unbound.
   void bind_telemetry(telemetry::Counter* rows) { rows_predicted_ = rows; }
 
-  /// Serialize the compiled forest (text format, versioned header; leaves
-  /// are written in logical form, not as self-loops).
+  /// Serialize the compiled forest (text format "droppkt-cf v1"; leaves
+  /// are written in logical form, not as self-loops). This is the body of
+  /// the core::QoeEstimator model file.
   void save(std::ostream& os) const;
-  void save_file(const std::string& path) const;
   /// Rebuild from `save` output. Throws droppkt::ParseError on malformed
   /// input; validates every child offset, leaf offset and the
   /// one-parent-per-node tree shape so a hostile file cannot drive
-  /// descent out of bounds or into a cycle.
+  /// descent out of bounds or into a cycle, and allocates only as the
+  /// stream supplies entries, never to the header's claimed sizes.
   static CompiledForest load(std::istream& is);
-  static CompiledForest load_file(const std::string& path);
 
  private:
   // Independent descents walked in lockstep. The fixed-trip-count descent

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <limits>
 #include <numeric>
-#include <ostream>
 
 #include "util/expect.hpp"
 
@@ -686,8 +683,8 @@ const DecisionTree::Node& DecisionTree::descend(
     cur = static_cast<std::size_t>(
         features[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
                                                                      : n.right);
-    // Per-hop on the prediction hot path, so debug-only; load() validates
-    // child indices up front and fit() emits them by construction.
+    // Per-hop on the prediction hot path, so debug-only; fit() emits
+    // in-range child indices by construction.
     DROPPKT_ASSERT(cur < nodes_.size(),
                    "DecisionTree: descend left the node array");
   }
@@ -707,94 +704,6 @@ std::vector<double> DecisionTree::predict_proba(
     std::span<const double> features) const {
   const auto probs = predict_proba_ref(features);
   return {probs.begin(), probs.end()};
-}
-
-void DecisionTree::save(std::ostream& os) const {
-  DROPPKT_EXPECT(!nodes_.empty(), "DecisionTree::save: tree is not fitted");
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << "tree " << num_classes_ << ' ' << num_features_ << ' ' << nodes_.size()
-     << '\n';
-  for (const auto& n : nodes_) {
-    os << n.feature << ' ' << n.threshold << ' ' << n.left << ' ' << n.right
-       << ' ' << n.leaf_class;
-    os << ' ' << n.class_probs.size();
-    for (double p : n.class_probs) os << ' ' << p;
-    os << '\n';
-  }
-}
-
-namespace {
-
-// Deserialization sanity caps — a model file is operator-supplied input,
-// and a claimed dimension past these is hostile or corrupt. Rejecting it
-// before allocating is what turns the fuzzers' "absurd length" crashes
-// (multi-GiB resize from one 16-byte header) into typed errors.
-constexpr std::size_t kMaxLoadClasses = 4096;
-constexpr std::size_t kMaxLoadFeatures = 1 << 20;
-constexpr std::size_t kMaxLoadNodes = 1 << 24;
-
-[[noreturn]] void tree_parse_fail(const std::string& what) {
-  throw ParseError("DecisionTree::load: " + what);
-}
-
-}  // namespace
-
-DecisionTree DecisionTree::load(std::istream& is) {
-  std::string tag;
-  DecisionTree tree;
-  std::size_t node_count = 0;
-  is >> tag >> tree.num_classes_ >> tree.num_features_ >> node_count;
-  if (!is.good() || tag != "tree") tree_parse_fail("bad header");
-  if (tree.num_classes_ < 1 ||
-      static_cast<std::size_t>(tree.num_classes_) > kMaxLoadClasses ||
-      tree.num_features_ < 1 || tree.num_features_ > kMaxLoadFeatures ||
-      node_count < 1 || node_count > kMaxLoadNodes) {
-    tree_parse_fail("implausible dimensions");
-  }
-  // Grow incrementally: a hostile node count can only allocate as many
-  // nodes as the stream actually provides before hitting truncation.
-  tree.nodes_.reserve(std::min<std::size_t>(node_count, 4096));
-  for (std::size_t i = 0; i < node_count; ++i) {
-    Node n;
-    std::size_t n_probs = 0;
-    is >> n.feature >> n.threshold >> n.left >> n.right >> n.leaf_class >>
-        n_probs;
-    if (!is.good()) tree_parse_fail("truncated node");
-    if (n.feature >= static_cast<int>(tree.num_features_)) {
-      tree_parse_fail("feature index out of range");
-    }
-    if (n.feature >= 0) {
-      // Internal node: children must point strictly past this node (the
-      // order save() emits), which both bounds them and proves traversal
-      // terminates — a crafted file cannot smuggle in a cycle.
-      const auto self = static_cast<std::int32_t>(i);
-      if (n.left <= self || n.right <= self ||
-          n.left >= static_cast<std::int32_t>(node_count) ||
-          n.right >= static_cast<std::int32_t>(node_count)) {
-        tree_parse_fail("child indices out of order or out of range");
-      }
-      if (n_probs != 0) tree_parse_fail("internal node carries class probs");
-    } else {
-      // Leaf: the distribution must cover every class exactly.
-      if (n_probs != static_cast<std::size_t>(tree.num_classes_)) {
-        tree_parse_fail("leaf prob count != num_classes");
-      }
-      if (n.leaf_class < 0 ||
-          n.leaf_class >= static_cast<std::int32_t>(tree.num_classes_)) {
-        tree_parse_fail("leaf class out of range");
-      }
-    }
-    n.class_probs.resize(n_probs);
-    for (auto& p : n.class_probs) {
-      is >> p;
-      if (is.fail()) tree_parse_fail("truncated class probs");
-    }
-    tree.nodes_.push_back(std::move(n));
-  }
-  if (is.fail()) tree_parse_fail("truncated input");
-  tree.importance_.assign(tree.num_features_, 0.0);
-  tree.fit_sample_count_ = 0;
-  return tree;
 }
 
 int DecisionTree::depth() const {

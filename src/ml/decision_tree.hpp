@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -76,19 +75,7 @@ class DecisionTree final : public Classifier {
   std::size_t node_count() const { return nodes_.size(); }
   int depth() const;
 
-  /// Dimensions the tree was fitted (or loaded) with; 0 before either.
-  /// RandomForest::load uses these to reject model files whose trees
-  /// disagree with the forest header.
-  int num_classes() const { return num_classes_; }
-  std::size_t num_features() const { return num_features_; }
-
-  /// Serialize the fitted tree (text, line-based). Importances are not
-  /// persisted — a loaded tree predicts but reports no importances.
-  void save(std::ostream& os) const;
-  /// Rebuild a tree from `save` output. Throws on malformed input.
-  static DecisionTree load(std::istream& is);
-
-  /// Read-only flat view of one node, for forest compilation/export.
+  /// Read-only flat view of one node, for forest compilation.
   /// feature == -1 marks a leaf (class_probs valid, children unset);
   /// otherwise left/right index other nodes of the same tree. `i` must be
   /// < node_count(); node 0 is the root.

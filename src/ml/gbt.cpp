@@ -2,33 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <istream>
-#include <limits>
 #include <numeric>
-#include <ostream>
 
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace droppkt::ml {
-
-namespace {
-
-// Deserialization sanity caps: a model file claiming more than this is
-// hostile or corrupt, and rejecting it up front keeps attacker-chosen
-// dimensions from driving allocations (the "absurd length" fuzz class).
-constexpr std::size_t kMaxLoadClasses = 4096;
-constexpr std::size_t kMaxLoadFeatures = 1 << 20;
-constexpr std::size_t kMaxLoadRounds = 1 << 20;
-constexpr std::size_t kMaxLoadNodes = 1 << 22;
-
-[[noreturn]] void gbt_parse_fail(const std::string& what) {
-  throw ParseError("GradientBoosting::load: " + what);
-}
-
-}  // namespace
 
 RegressionTree::RegressionTree(int max_depth, std::size_t min_samples_leaf)
     : max_depth_(max_depth), min_samples_leaf_(min_samples_leaf) {
@@ -162,55 +142,6 @@ void RegressionTree::set_leaf_value(std::size_t leaf, double value) {
   DROPPKT_EXPECT(leaf < leaf_ids_.size(),
                  "RegressionTree: leaf index out of range");
   nodes_[static_cast<std::size_t>(leaf_ids_[leaf])].value = value;
-}
-
-void RegressionTree::save(std::ostream& os) const {
-  DROPPKT_EXPECT(!nodes_.empty(), "RegressionTree::save: tree is not fitted");
-  os << "rtree " << nodes_.size() << '\n';
-  for (const auto& n : nodes_) {
-    os << n.feature << ' ' << n.threshold << ' ' << n.left << ' ' << n.right
-       << ' ' << n.value << '\n';
-  }
-}
-
-RegressionTree RegressionTree::load(std::istream& is,
-                                    std::size_t num_features) {
-  std::string tag;
-  std::size_t node_count = 0;
-  is >> tag >> node_count;
-  if (!is.good() || tag != "rtree") gbt_parse_fail("bad rtree header");
-  if (node_count < 1 || node_count > kMaxLoadNodes) {
-    gbt_parse_fail("implausible rtree node count " +
-                   std::to_string(node_count));
-  }
-  RegressionTree tree;
-  // Grow incrementally: a hostile count inflates no allocation beyond the
-  // nodes the stream actually contains.
-  tree.nodes_.reserve(std::min<std::size_t>(node_count, 4096));
-  for (std::size_t i = 0; i < node_count; ++i) {
-    Node n;
-    is >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
-    if (is.fail()) gbt_parse_fail("truncated rtree node");
-    if (n.feature >= 0) {
-      if (static_cast<std::size_t>(n.feature) >= num_features) {
-        gbt_parse_fail("rtree feature index out of range");
-      }
-      // Children strictly after the parent: build() emits nodes in that
-      // order, and enforcing it here makes loaded-tree traversal provably
-      // terminate (no cycles from a crafted file).
-      const auto self = static_cast<std::int32_t>(i);
-      if (n.left <= self || n.right <= self ||
-          n.left >= static_cast<std::int32_t>(node_count) ||
-          n.right >= static_cast<std::int32_t>(node_count)) {
-        gbt_parse_fail("rtree child indices out of order or out of range");
-      }
-    } else {
-      n.leaf_index = tree.leaf_ids_.size();
-      tree.leaf_ids_.push_back(static_cast<std::int32_t>(i));
-    }
-    tree.nodes_.push_back(n);
-  }
-  return tree;
 }
 
 GradientBoosting::GradientBoosting(GradientBoostingParams params)
@@ -362,78 +293,6 @@ std::vector<int> GradientBoosting::predict_batch(const Dataset& data,
 int GradientBoosting::predict(std::span<const double> features) const {
   const auto p = predict_proba(features);
   return static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
-}
-
-void GradientBoosting::save(std::ostream& os) const {
-  DROPPKT_EXPECT(!ensembles_.empty(),
-                 "GradientBoosting::save: model is not fitted");
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << "droppkt-gbt v1\n";
-  os << num_classes_ << ' ' << num_features_ << ' ' << params_.learning_rate
-     << '\n';
-  for (int c = 0; c < num_classes_; ++c) {
-    const auto& ensemble = ensembles_[static_cast<std::size_t>(c)];
-    os << "class " << ensemble.size() << ' '
-       << base_score_[static_cast<std::size_t>(c)] << '\n';
-    for (const auto& tree : ensemble) tree.save(os);
-  }
-}
-
-void GradientBoosting::save_file(const std::string& path) const {
-  std::ofstream ofs(path);
-  if (!ofs) throw std::runtime_error("GradientBoosting: cannot open " + path);
-  save(ofs);
-  if (!ofs) throw std::runtime_error("GradientBoosting: write failed " + path);
-}
-
-GradientBoosting GradientBoosting::load(std::istream& is) {
-  std::string header;
-  std::getline(is, header);
-  if (header != "droppkt-gbt v1") {
-    gbt_parse_fail("unrecognized header '" + header + "'");
-  }
-  GradientBoosting model;
-  std::size_t n_features = 0;
-  double learning_rate = 0.0;
-  is >> model.num_classes_ >> n_features >> learning_rate;
-  if (is.fail()) gbt_parse_fail("truncated model dimensions");
-  if (model.num_classes_ < 2 ||
-      static_cast<std::size_t>(model.num_classes_) > kMaxLoadClasses ||
-      n_features < 1 || n_features > kMaxLoadFeatures) {
-    gbt_parse_fail("implausible model dimensions");
-  }
-  if (!std::isfinite(learning_rate) || learning_rate <= 0.0 ||
-      learning_rate > 10.0) {
-    gbt_parse_fail("implausible learning rate");
-  }
-  model.num_features_ = n_features;
-  model.params_.learning_rate = learning_rate;
-  model.ensembles_.resize(static_cast<std::size_t>(model.num_classes_));
-  model.base_score_.resize(static_cast<std::size_t>(model.num_classes_));
-  for (int c = 0; c < model.num_classes_; ++c) {
-    std::string tag;
-    std::size_t rounds = 0;
-    double base = 0.0;
-    is >> tag >> rounds >> base;
-    if (is.fail() || tag != "class") gbt_parse_fail("bad class header");
-    if (rounds < 1 || rounds > kMaxLoadRounds) {
-      gbt_parse_fail("implausible round count " + std::to_string(rounds));
-    }
-    if (!std::isfinite(base)) gbt_parse_fail("non-finite base score");
-    model.base_score_[static_cast<std::size_t>(c)] = base;
-    auto& ensemble = model.ensembles_[static_cast<std::size_t>(c)];
-    ensemble.reserve(std::min<std::size_t>(rounds, 4096));
-    for (std::size_t r = 0; r < rounds; ++r) {
-      ensemble.push_back(RegressionTree::load(is, n_features));
-    }
-  }
-  return model;
-}
-
-GradientBoosting GradientBoosting::load_file(const std::string& path) {
-  std::ifstream ifs(path);
-  if (!ifs) throw std::runtime_error("GradientBoosting: cannot open " + path);
-  return load(ifs);
 }
 
 }  // namespace droppkt::ml

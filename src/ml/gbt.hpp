@@ -6,8 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "ml/classifier.hpp"
@@ -28,13 +27,6 @@ struct GradientBoostingParams {
 class RegressionTree {
  public:
   RegressionTree(int max_depth, std::size_t min_samples_leaf);
-
-  /// Serialize the fitted tree (text, line-based).
-  void save(std::ostream& os) const;
-  /// Rebuild from `save` output, validating every node (feature index
-  /// within `num_features`, children in range and strictly descending so
-  /// traversal terminates). Throws droppkt::ParseError on malformed input.
-  static RegressionTree load(std::istream& is, std::size_t num_features);
 
   /// Fit targets[i] over rows[i] of `data` restricted to `indices`.
   void fit(const Dataset& data, const std::vector<double>& targets,
@@ -58,7 +50,6 @@ class RegressionTree {
     double value = 0.0;
     std::size_t leaf_index = 0;
   };
-  RegressionTree() = default;  // deserialization only
   std::int32_t build(const Dataset& data, const std::vector<double>& targets,
                      std::vector<std::size_t>& indices, int depth);
   const Node& descend(std::span<const double> features) const;
@@ -89,20 +80,6 @@ class GradientBoosting final : public Classifier {
   std::vector<int> predict_batch(const Dataset& data,
                                  std::size_t num_threads = 1) const;
 
-  int num_classes() const { return num_classes_; }
-  std::size_t num_features() const { return num_features_; }
-
-  /// Serialize the fitted model (text; header "droppkt-gbt v1"), so a
-  /// monitoring node can load a trained comparison model without the
-  /// training corpus — the same deployment story as RandomForest::save.
-  void save(std::ostream& os) const;
-  void save_file(const std::string& path) const;
-  /// Rebuild from `save` output. The stream is untrusted (a model file is
-  /// operator-supplied input); throws droppkt::ParseError on malformed
-  /// dimensions, truncation, or structurally invalid trees.
-  static GradientBoosting load(std::istream& is);
-  static GradientBoosting load_file(const std::string& path);
-
  private:
   void predict_proba_row(std::span<const double> features,
                          std::span<double> out) const;
@@ -112,7 +89,7 @@ class GradientBoosting final : public Classifier {
   std::vector<std::vector<RegressionTree>> ensembles_;  // per class
   std::vector<double> base_score_;                      // per-class prior
   int num_classes_ = 0;
-  std::size_t num_features_ = 0;  // 0 until fit/load
+  std::size_t num_features_ = 0;  // 0 until fit
 };
 
 }  // namespace droppkt::ml

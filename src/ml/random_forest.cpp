@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
-#include "util/csv.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -283,87 +280,6 @@ std::vector<double> RandomForest::feature_importances() const {
     for (auto& v : total) v /= sum;
   }
   return total;
-}
-
-void RandomForest::save(std::ostream& os) const {
-  DROPPKT_EXPECT(!trees_.empty(), "RandomForest::save: forest is not fitted");
-  os << "droppkt-rf v1\n";
-  os << num_classes_ << ' ' << feature_names_.size() << ' ' << trees_.size()
-     << '\n';
-  for (const auto& name : feature_names_) {
-    os << util::csv_escape(name) << '\n';
-  }
-  for (const auto& tree : trees_) tree.save(os);
-}
-
-void RandomForest::save_file(const std::string& path) const {
-  std::ofstream ofs(path);
-  if (!ofs) throw std::runtime_error("RandomForest: cannot open " + path);
-  save(ofs);
-  if (!ofs) throw std::runtime_error("RandomForest: write failed " + path);
-}
-
-namespace {
-
-// Same sanity caps as DecisionTree::load: reject hostile dimensions from a
-// model file before they drive allocations.
-constexpr std::size_t kMaxLoadFeatures = 1 << 20;
-constexpr std::size_t kMaxLoadTrees = 1 << 16;
-
-[[noreturn]] void forest_parse_fail(const std::string& what) {
-  throw ParseError("RandomForest::load: " + what);
-}
-
-}  // namespace
-
-RandomForest RandomForest::load(std::istream& is) {
-  std::string header;
-  std::getline(is, header);
-  if (header != "droppkt-rf v1") {
-    forest_parse_fail("unrecognized header '" + header + "'");
-  }
-  std::size_t n_features = 0, n_trees = 0;
-  RandomForest forest;
-  is >> forest.num_classes_ >> n_features >> n_trees;
-  if (!is.good()) forest_parse_fail("truncated dimensions");
-  if (forest.num_classes_ < 1 ||
-      static_cast<std::size_t>(forest.num_classes_) > 4096 ||
-      n_features < 1 || n_features > kMaxLoadFeatures || n_trees < 1 ||
-      n_trees > kMaxLoadTrees) {
-    forest_parse_fail("implausible dimensions");
-  }
-  is.ignore(1, '\n');
-  forest.feature_names_.reserve(std::min<std::size_t>(n_features, 4096));
-  for (std::size_t i = 0; i < n_features; ++i) {
-    std::string line;
-    std::getline(is, line);
-    if (!is.good()) forest_parse_fail("truncated feature names");
-    const auto fields = util::csv_split_line(line);
-    if (fields.size() != 1) forest_parse_fail("malformed feature name line");
-    forest.feature_names_.push_back(fields[0]);
-  }
-  forest.trees_.reserve(std::min<std::size_t>(n_trees, 4096));
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    DecisionTree tree = DecisionTree::load(is);
-    // Every tree must agree with the forest header. Without this, a file
-    // whose tree claims more classes than the forest makes
-    // predict_proba_row write past the caller's buffer (ASan-confirmed by
-    // fuzz/fuzz_model.cpp before this check existed).
-    if (tree.num_classes() != forest.num_classes_ ||
-        tree.num_features() != n_features) {
-      forest_parse_fail("tree " + std::to_string(t) +
-                        " disagrees with forest dimensions");
-    }
-    forest.trees_.push_back(std::move(tree));
-  }
-  forest.oob_error_ = std::nullopt;
-  return forest;
-}
-
-RandomForest RandomForest::load_file(const std::string& path) {
-  std::ifstream ifs(path);
-  if (!ifs) throw std::runtime_error("RandomForest: cannot open " + path);
-  return load(ifs);
 }
 
 std::vector<std::pair<std::string, double>> RandomForest::ranked_importances()

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -118,14 +117,6 @@ class RandomForest final : public Classifier, public PoolTrainable {
   const DecisionTree& tree(std::size_t t) const { return trees_[t]; }
   int num_classes() const { return num_classes_; }
   std::size_t num_features() const { return feature_names_.size(); }
-
-  /// Serialize the fitted forest (text format, versioned header). Trained
-  /// models can be shipped to monitoring nodes without the training data.
-  void save(std::ostream& os) const;
-  void save_file(const std::string& path) const;
-  /// Rebuild a forest from `save` output. Throws on malformed input.
-  static RandomForest load(std::istream& is);
-  static RandomForest load_file(const std::string& path);
 
  private:
   void predict_proba_row(std::span<const double> features,

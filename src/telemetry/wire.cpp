@@ -31,7 +31,7 @@ constexpr std::uint64_t kMinLocationBytes = 2 + 1 + 3 * 8 + 1;
 }
 
 /// Bounds-checked cursor over the untrusted buffer; same contract as the
-/// DPTL reader in trace/serialize.cpp — every length is widened to u64
+/// DPFC reader in trace/capture.cpp — every length is widened to u64
 /// before comparison so narrow attacker-supplied fields cannot wrap.
 class ByteReader {
  public:

@@ -25,8 +25,9 @@ constexpr std::uint64_t kMaxSniBytes = 64 * 1024;
   throw ParseError("read_feed_capture: " + what);
 }
 
-/// Bounds-checked cursor over the untrusted buffer (the DPTL idiom: all
-/// length fields widen to u64 before any comparison or arithmetic).
+/// Bounds-checked cursor over the untrusted buffer: all length fields
+/// widen to u64 before any comparison or arithmetic, so a narrow
+/// attacker-supplied length can never wrap a size computation.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> buf) : buf_(buf) {}

@@ -6,12 +6,12 @@
 // through a fresh engine and reproduce the live alert sequence
 // byte-for-byte, at line rate or any time scale.
 //
-// Binary format "DPFC" v1, hardened to the same standard as the DPTL
-// stream in trace/serialize.hpp: every length is validated against the
-// bytes actually present before any allocation, counts are checked
-// against a per-event minimum size, numeric fields are validated
-// (finite, ordered), and malformed input throws droppkt::ParseError —
-// never a crash. fuzz/fuzz_feed_capture.cpp holds the reader to that.
+// Binary format "DPFC" v1, the repo's one binary record format. Every
+// length is validated against the bytes actually present before any
+// allocation, counts are checked against a per-event minimum size,
+// numeric fields are validated (finite, ordered), and malformed input
+// throws droppkt::ParseError — never a crash. fuzz/fuzz_feed_capture.cpp
+// holds the reader to that.
 //
 //   "DPFC" magic, u32 version, u64 event count, then per event
 //     u8 kind (0 = record, 1 = marker)

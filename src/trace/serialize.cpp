@@ -1,88 +1,11 @@
 #include "trace/serialize.hpp"
 
-#include <cmath>
-#include <cstring>
 #include <fstream>
-#include <iterator>
-#include <limits>
-#include <sstream>
 
 #include "util/csv.hpp"
 #include "util/expect.hpp"
 
 namespace droppkt::trace {
-
-namespace {
-
-constexpr char kMagic[4] = {'D', 'P', 'T', 'L'};
-constexpr std::uint32_t kVersion = 1;
-// 4 doubles + u64 http_count + u32 sni length: the smallest possible record.
-constexpr std::uint64_t kMinRecordBytes = 4 * 8 + 8 + 4;
-// A ClientHello SNI is a DNS name; anything past this is hostile input.
-constexpr std::uint64_t kMaxSniBytes = 64 * 1024;
-
-[[noreturn]] void parse_fail(const std::string& what) {
-  throw ParseError("read_tls_binary: " + what);
-}
-
-/// Bounds-checked cursor over the untrusted buffer. All length fields are
-/// widened to u64 *before* any comparison or arithmetic so a narrow
-/// attacker-supplied length can never wrap a size computation.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> buf) : buf_(buf) {}
-
-  std::uint64_t remaining() const { return buf_.size() - pos_; }
-
-  void bytes(void* out, std::uint64_t n, const char* what) {
-    if (n > remaining()) {
-      parse_fail(std::string("truncated input reading ") + what);
-    }
-    std::memcpy(out, buf_.data() + pos_, static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-  }
-
-  std::uint32_t u32(const char* what) {
-    std::uint32_t v = 0;
-    bytes(&v, sizeof v, what);
-    return v;
-  }
-
-  std::uint64_t u64(const char* what) {
-    std::uint64_t v = 0;
-    bytes(&v, sizeof v, what);
-    return v;
-  }
-
-  double f64(const char* what) {
-    double v = 0.0;
-    bytes(&v, sizeof v, what);
-    return v;
-  }
-
-  std::string str(std::uint64_t n, const char* what) {
-    if (n > remaining()) {
-      parse_fail(std::string("truncated input reading ") + what);
-    }
-    std::string s(reinterpret_cast<const char*>(buf_.data() + pos_),
-                  static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-    return s;
-  }
-
- private:
-  std::span<const std::uint8_t> buf_;
-  std::size_t pos_ = 0;
-};
-
-void append_raw(std::vector<std::uint8_t>& out, const void* p, std::size_t n) {
-  if (n == 0) return;
-  const std::size_t old = out.size();
-  out.resize(old + n);
-  std::memcpy(out.data() + old, p, n);
-}
-
-}  // namespace
 
 void write_tls_csv(const TlsLog& log, std::ostream& os) {
   util::CsvTable table({"start_s", "end_s", "ul_bytes", "dl_bytes", "sni"});
@@ -127,116 +50,6 @@ TlsLog read_tls_csv_file(const std::string& path) {
   std::ifstream ifs(path);
   if (!ifs) throw std::runtime_error("read_tls_csv_file: cannot open " + path);
   return read_tls_csv(ifs);
-}
-
-std::vector<std::uint8_t> tls_binary_bytes(const TlsLog& log) {
-  std::vector<std::uint8_t> out;
-  append_raw(out, kMagic, sizeof kMagic);
-  append_raw(out, &kVersion, sizeof kVersion);
-  const std::uint64_t count = log.size();
-  append_raw(out, &count, sizeof count);
-  for (const auto& t : log) {
-    DROPPKT_EXPECT(t.sni.size() <= kMaxSniBytes,
-                   "write_tls_binary: SNI exceeds the wire-format limit");
-    append_raw(out, &t.start_s, sizeof t.start_s);
-    append_raw(out, &t.end_s, sizeof t.end_s);
-    append_raw(out, &t.ul_bytes, sizeof t.ul_bytes);
-    append_raw(out, &t.dl_bytes, sizeof t.dl_bytes);
-    const std::uint64_t http = t.http_count;
-    append_raw(out, &http, sizeof http);
-    const auto sni_len = static_cast<std::uint32_t>(t.sni.size());
-    append_raw(out, &sni_len, sizeof sni_len);
-    append_raw(out, t.sni.data(), t.sni.size());
-  }
-  return out;
-}
-
-void write_tls_binary(const TlsLog& log, std::ostream& os) {
-  const auto bytes = tls_binary_bytes(log);
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-}
-
-void write_tls_binary_file(const TlsLog& log, const std::string& path) {
-  std::ofstream ofs(path, std::ios::binary);
-  if (!ofs) {
-    throw std::runtime_error("write_tls_binary_file: cannot open " + path);
-  }
-  write_tls_binary(log, ofs);
-  if (!ofs) {
-    throw std::runtime_error("write_tls_binary_file: write failed " + path);
-  }
-}
-
-TlsLog read_tls_binary(std::span<const std::uint8_t> buffer) {
-  ByteReader r(buffer);
-  char magic[4] = {};
-  r.bytes(magic, sizeof magic, "magic");
-  if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    parse_fail("bad magic (not a DPTL stream)");
-  }
-  const std::uint32_t version = r.u32("version");
-  if (version != kVersion) {
-    parse_fail("unsupported version " + std::to_string(version));
-  }
-  const std::uint64_t count = r.u64("record count");
-  // Every record costs at least kMinRecordBytes, so a count the buffer
-  // cannot possibly hold is rejected before any allocation — this is the
-  // check that turns the "absurd length" fuzz crash into a typed error.
-  if (count > r.remaining() / kMinRecordBytes) {
-    parse_fail("record count " + std::to_string(count) +
-               " exceeds what the buffer can hold");
-  }
-  TlsLog log;
-  log.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TlsTransaction t;
-    t.start_s = r.f64("start_s");
-    t.end_s = r.f64("end_s");
-    t.ul_bytes = r.f64("ul_bytes");
-    t.dl_bytes = r.f64("dl_bytes");
-    const std::uint64_t http = r.u64("http_count");
-    if constexpr (sizeof(std::size_t) < sizeof(std::uint64_t)) {
-      if (http > std::numeric_limits<std::size_t>::max()) {
-        parse_fail("http_count overflows size_t");
-      }
-    }
-    t.http_count = static_cast<std::size_t>(http);
-    if (!std::isfinite(t.start_s) || !std::isfinite(t.end_s)) {
-      parse_fail("non-finite transaction times");
-    }
-    if (t.end_s < t.start_s) parse_fail("transaction end precedes start");
-    if (!(t.ul_bytes >= 0.0) || !(t.dl_bytes >= 0.0)) {
-      parse_fail("negative or non-finite byte counts");
-    }
-    // Widen before comparing: the u32 is attacker-controlled, the limits
-    // are u64, and the comparison must never truncate.
-    const std::uint64_t sni_len = r.u32("sni length");
-    if (sni_len > kMaxSniBytes) {
-      parse_fail("SNI length " + std::to_string(sni_len) + " exceeds limit");
-    }
-    t.sni = r.str(sni_len, "sni");
-    log.push_back(std::move(t));
-  }
-  if (r.remaining() != 0) {
-    parse_fail(std::to_string(r.remaining()) +
-               " trailing bytes after the last record");
-  }
-  return log;
-}
-
-TlsLog read_tls_binary(std::istream& is) {
-  std::vector<std::uint8_t> buf{std::istreambuf_iterator<char>(is),
-                                std::istreambuf_iterator<char>()};
-  return read_tls_binary(std::span<const std::uint8_t>(buf));
-}
-
-TlsLog read_tls_binary_file(const std::string& path) {
-  std::ifstream ifs(path, std::ios::binary);
-  if (!ifs) {
-    throw std::runtime_error("read_tls_binary_file: cannot open " + path);
-  }
-  return read_tls_binary(ifs);
 }
 
 }  // namespace droppkt::trace

@@ -1,21 +1,12 @@
-// CSV and binary import/export for TLS transaction logs.
+// CSV import/export for TLS transaction logs.
 //
 // Matches what a proxy log export would look like: one row per TLS
 // transaction with start, end, byte counts and SNI. Used by the examples
 // to show how a deployment would feed real proxy data into the estimator.
-//
-// The binary format is the on-wire form a high-volume collector would
-// ship (CSV costs ~3x the bytes and a float parse per field). Every byte
-// of it is attacker-controllable in the deployment the ROADMAP targets,
-// so the reader validates all length fields against the actual buffer
-// before allocating or narrowing, and rejects malformed input with
-// droppkt::ParseError — never a crash. fuzz/fuzz_tls_binary.cpp holds the
-// reader to that.
+// The binary record format is the DPFC feed capture (trace/capture.hpp).
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 
 #include "trace/records.hpp"
@@ -29,23 +20,5 @@ void write_tls_csv_file(const TlsLog& log, const std::string& path);
 /// Parse a TLS log from CSV in the same format. Throws on malformed input.
 TlsLog read_tls_csv(std::istream& is);
 TlsLog read_tls_csv_file(const std::string& path);
-
-/// Length-prefixed little-endian binary record stream:
-///   "DPTL" magic, u32 version, u64 record count, then per record
-///   f64 start_s, f64 end_s, f64 ul_bytes, f64 dl_bytes,
-///   u64 http_count, u32 sni length, sni bytes.
-void write_tls_binary(const TlsLog& log, std::ostream& os);
-void write_tls_binary_file(const TlsLog& log, const std::string& path);
-
-/// Serialize into a byte buffer (what the fuzz round-trip drives).
-std::vector<std::uint8_t> tls_binary_bytes(const TlsLog& log);
-
-/// Decode a binary record stream. Throws droppkt::ParseError on any
-/// malformed input: truncated buffer, bad magic/version, record count or
-/// SNI length inconsistent with the bytes actually present, non-finite
-/// times, end < start, or negative byte counts.
-TlsLog read_tls_binary(std::span<const std::uint8_t> buffer);
-TlsLog read_tls_binary(std::istream& is);
-TlsLog read_tls_binary_file(const std::string& path);
 
 }  // namespace droppkt::trace

@@ -57,13 +57,11 @@ void replay(const std::string& target, const Harness& harness,
   }
 }
 
-TEST(FuzzRegression, TlsBinary) { replay("tls_binary", one_tls_binary, 5); }
-
 TEST(FuzzRegression, FeedLine) { replay("feed_line", one_feed_line, 4); }
 
 TEST(FuzzRegression, Csv) { replay("csv", one_csv, 4); }
 
-TEST(FuzzRegression, Model) { replay("model", one_model, 6); }
+TEST(FuzzRegression, Model) { replay("model", one_model, 8); }
 
 TEST(FuzzRegression, TelemetryWire) {
   replay("telemetry_wire", one_telemetry_wire, 3);

@@ -14,6 +14,9 @@
 // scratch buffer has reached its high-water capacity, and every string is
 // interned; the measured window then replays the same shape of traffic.
 //
+// The shim also totals requested bytes, which bounds what a hostile model
+// header can make the loader allocate before it fails.
+//
 // Kept in its own test executable so the operator-new replacement cannot
 // perturb the other suites. Skipped under sanitizers, which own the
 // allocator.
@@ -23,11 +26,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
 
 #include "core/dataset_builder.hpp"
+#include "core/estimator.hpp"
 #include "core/monitor.hpp"
 #include "engine/engine.hpp"
 #include "engine/feed.hpp"
+#include "ml/compiled_forest.hpp"
+#include "util/expect.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define DROPPKT_ALLOC_COUNTING 0
@@ -45,8 +53,10 @@
 namespace {
 // Thread-local so worker/producer threads never pollute the measuring
 // thread's count; each test attributes allocations to the thread that
-// made them.
-thread_local std::uint64_t t_allocations = 0;
+// made them. Unused, like the fixtures below, when a sanitizer owns the
+// allocator.
+[[maybe_unused]] thread_local std::uint64_t t_allocations = 0;
+[[maybe_unused]] thread_local std::uint64_t t_allocated_bytes = 0;
 }  // namespace
 
 #if DROPPKT_ALLOC_COUNTING
@@ -55,6 +65,7 @@ namespace {
 
 void* counted_alloc(std::size_t n) {
   ++t_allocations;
+  t_allocated_bytes += n;
   if (n == 0) n = 1;
   void* p = std::malloc(n);
   if (p == nullptr) throw std::bad_alloc();
@@ -63,6 +74,7 @@ void* counted_alloc(std::size_t n) {
 
 void* counted_alloc(std::size_t n, std::align_val_t align) {
   ++t_allocations;
+  t_allocated_bytes += n;
   if (n == 0) n = 1;
   const std::size_t a = static_cast<std::size_t>(align);
   // aligned_alloc requires the size to be a multiple of the alignment.
@@ -83,10 +95,12 @@ void* operator new[](std::size_t n, std::align_val_t a) {
 }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   ++t_allocations;
+  t_allocated_bytes += n;
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   ++t_allocations;
+  t_allocated_bytes += n;
   return std::malloc(n == 0 ? 1 : n);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -111,7 +125,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace droppkt::engine {
 namespace {
 
-const core::QoeEstimator& trained_estimator() {
+[[maybe_unused]] const core::QoeEstimator& trained_estimator() {
   static const core::QoeEstimator est = [] {
     core::DatasetConfig cfg;
     cfg.num_sessions = 150;
@@ -128,7 +142,7 @@ const core::QoeEstimator& trained_estimator() {
 /// Two-session-per-client synthetic feed: session 1 is warmup (slots,
 /// interned strings, scratch capacities all reach steady state), session 2
 /// is the measured window with the identical traffic shape.
-const Feed& steady_feed() {
+[[maybe_unused]] const Feed& steady_feed() {
   static const Feed feed = [] {
     SynthFeedConfig cfg;
     cfg.num_clients = 60;
@@ -240,6 +254,33 @@ TEST(ZeroAlloc, EngineProducerSteadyStateIngest) {
   EXPECT_EQ(batched, 0u)
       << batched << " producer-side allocations across batched ingest";
   EXPECT_GT(eng.sessions_reported(), 0u);
+#endif
+}
+
+TEST(ZeroAlloc, HugeNodeCountModelRejectedUnderOneMiB) {
+#if !DROPPKT_ALLOC_COUNTING
+  GTEST_SKIP() << "allocator owned by a sanitizer";
+#else
+  // 33 bytes whose header claims 2^26 nodes (the loader's cap) and ends
+  // before node 0. Sizing the node arrays to the claim requested over a
+  // GiB before the loader noticed the truncation.
+  const std::string body = "droppkt-cf v1\n2 1 1 67108864 2\n0\n";
+  ASSERT_EQ(body.size(), 33u);
+  constexpr std::uint64_t kOneMiB = 1u << 20;
+  {
+    std::istringstream is(body);
+    const std::uint64_t before = t_allocated_bytes;
+    EXPECT_THROW(ml::CompiledForest::load(is), ParseError);
+    EXPECT_LT(t_allocated_bytes - before, kOneMiB);
+  }
+  // The same body behind an estimator envelope, as a model file delivers
+  // it (fuzz/regressions/model/crash-cf-node-count-alloc.txt).
+  {
+    std::istringstream is("droppkt-estimator v2\n0\n1 30\n" + body);
+    const std::uint64_t before = t_allocated_bytes;
+    EXPECT_THROW(core::QoeEstimator::load(is), ParseError);
+    EXPECT_LT(t_allocated_bytes - before, kOneMiB);
+  }
 #endif
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "ml/compiled_forest.hpp"
 #include "ml/dataset.hpp"
 #include "ml/random_forest.hpp"
 #include "util/rng.hpp"
@@ -40,12 +41,18 @@ Dataset make_problem(std::size_t n, std::uint64_t seed,
   return d;
 }
 
+// The compiled text of a fitted forest: every split feature, threshold
+// and leaf probability at max_digits10, in pre-order child layout.
+std::string compiled_text(const RandomForest& rf) {
+  std::stringstream ss;
+  CompiledForest::compile(rf).save(ss);
+  return ss.str();
+}
+
 std::string fit_and_save(const Dataset& d, const RandomForestParams& p) {
   RandomForest rf(p);
   rf.fit(d);
-  std::stringstream ss;
-  rf.save(ss);
-  return ss.str();
+  return compiled_text(rf);
 }
 
 double holdout_accuracy(const RandomForest& rf, const Dataset& test) {
@@ -133,9 +140,7 @@ TEST(HistogramSplit, FitOnPoolMatchesFit) {
   RandomForest rf(p);
   util::ThreadPool pool(3);
   rf.fit_on_pool(d, pool);
-  std::stringstream ss;
-  rf.save(ss);
-  EXPECT_EQ(via_fit, ss.str());
+  EXPECT_EQ(via_fit, compiled_text(rf));
 }
 
 TEST(HistogramSplit, AccuracyWithinDeltaOfExact) {

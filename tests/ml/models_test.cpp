@@ -232,6 +232,13 @@ TEST(Gbt, ValidatesParams) {
   EXPECT_THROW(GradientBoosting{p}, droppkt::ContractViolation);
 }
 
+TEST(GbtPredict, RejectsWrongFeatureCount) {
+  GradientBoosting model;
+  model.fit(gaussian_blobs(30, 8));
+  const std::vector<double> wrong(5, 0.0);
+  EXPECT_THROW(model.predict_proba(wrong), droppkt::ContractViolation);
+}
+
 // ---- MLP specifics ---------------------------------------------------------
 
 TEST(Mlp, ValidatesParams) {

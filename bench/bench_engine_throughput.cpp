@@ -285,7 +285,7 @@ RunResult run_legacy(const core::QoeEstimator& estimator,
   alert::AlertPipeline pipeline(pcfg);
   pipeline.bind(1);
   std::vector<std::string> lines;
-  engine::LatencyHistogram latency;
+  telemetry::Histogram latency;
   std::atomic<std::uint64_t> enqueued{0};
   std::atomic<std::uint64_t> processed{0};
 
@@ -342,8 +342,8 @@ RunResult run_legacy(const core::QoeEstimator& estimator,
   result.alert_events = log.size();
   result.alert_canon = canonical_alerts(log);
   auto counts = latency.counts();
-  result.p50_us = engine::histogram_quantile_ns(counts, 0.50) / 1000.0;
-  result.p99_us = engine::histogram_quantile_ns(counts, 0.99) / 1000.0;
+  result.p50_us = telemetry::histogram_quantile(counts, 0.50) / 1000.0;
+  result.p99_us = telemetry::histogram_quantile(counts, 0.99) / 1000.0;
   return result;
 }
 

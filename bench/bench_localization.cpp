@@ -3,8 +3,8 @@
 // underperform in a lightweight manner", Section 1). How many sessions
 // per location does the TLS-based detector need before degraded
 // locations are credibly flagged and healthy ones left alone?
+#include "alert/location_detector.hpp"
 #include "bench_common.hpp"
-#include "core/aggregator.hpp"
 #include "core/estimator.hpp"
 #include "has/player.hpp"
 #include "net/link_model.hpp"
@@ -17,10 +17,10 @@ namespace {
 using namespace droppkt;
 
 /// Simulate `n` sessions at a location with the given congestion level
-/// and feed the estimator's verdicts into the aggregator.
+/// and feed the estimator's verdicts into the detector, one per second.
 void observe_location(const std::string& name, double congestion,
                       std::size_t n, const core::QoeEstimator& est,
-                      core::LocationAggregator& agg, util::Rng& rng) {
+                      alert::LocationDetector& det, util::Rng& rng) {
   net::TraceGenerator gen(rng());
   const auto svc = has::svc1_profile();
   const auto catalog = has::VideoCatalog::generate(svc.name, 20, rng());
@@ -38,7 +38,7 @@ void observe_location(const std::string& name, double congestion,
                                 rng.uniform(60.0, 300.0), rng);
     const trace::ConnectionManager conns(svc.connections, rng);
     const auto tls = conns.collect(playback.http, rng);
-    agg.record(name, est.predict(tls));
+    det.observe(name, static_cast<double>(i), est.predict(tls) == 0);
   }
 }
 
@@ -69,19 +69,23 @@ int main() {
   util::TextTable table({"sessions/location", "degraded flagged (of 4)",
                          "healthy flagged (of 12)"});
   for (std::size_t n : {5u, 10u, 20u, 40u}) {
-    core::AggregatorConfig cfg;
+    // A sliding window longer than the run counts every verdict once.
+    const double run_s = static_cast<double>(n);
+    alert::DetectorConfig cfg;
+    cfg.window = alert::WindowKind::kSliding;
+    cfg.window_s = run_s + 1.0;
     cfg.alert_rate = 0.5;
-    cfg.min_sessions = 5;
-    core::LocationAggregator agg(cfg);
+    cfg.min_effective_sessions = 5.0;
+    alert::LocationDetector det(cfg);
     util::Rng rng(bench::kBenchSeed + n);
     for (const auto& c : cells) {
-      observe_location(c.name, c.congestion, n, est, agg, rng);
+      observe_location(c.name, c.congestion, n, est, det, rng);
     }
     std::size_t tp = 0, fp = 0;
-    for (const auto& f : agg.flagged()) {
+    for (const auto& flagged : det.degraded(run_s)) {
       bool degraded = false;
       for (const auto& c : cells) {
-        if (c.name == f.location) degraded = c.degraded;
+        if (c.name == flagged.first) degraded = c.degraded;
       }
       (degraded ? tp : fp) += 1;
     }

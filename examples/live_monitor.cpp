@@ -53,8 +53,9 @@ int main() {
   // Run the monitor over the feed.
   int class_counts[3] = {0, 0, 0};
   core::StreamingMonitor monitor(
-      estimator,
-      [&](const core::MonitoredSession& s) {
+      core::StreamingMonitor::ViewSinkTag{}, estimator,
+      [&](const core::MonitoredSessionView& v) {
+        const core::MonitoredSession s = v.to_owned();
         ++class_counts[s.predicted_class];
         std::printf("  [%7.1fs] %-13s session ended: %3zu transactions, "
                     "QoE %s\n",

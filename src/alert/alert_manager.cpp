@@ -59,28 +59,24 @@ const AlertEvent* AlertManager::update(const std::string& location,
   DROPPKT_EXPECT(!location.empty(),
                  "AlertManager: location must be non-empty");
   const AlertThresholds& t = thresholds_for(location);
-  State& st = states_[location];
+  const auto it = states_.find(location);
 
-  // `degraded` already folds in the detector's evidence floor; the
-  // manager re-tests the rate against its own (possibly per-service)
-  // raise threshold so services can be stricter or laxer than the
-  // detector-wide default.
-  const bool raise_now =
-      window.degraded && window.interval.low > t.raise_rate;
-
-  if (!st.raised) {
-    if (raise_now) {
-      st.raised = true;
-      st.healthy_since_s = -1.0;
-      ++open_;
-      ++total_raised_;
-      return append(AlertEvent::Kind::kRaised, location, window, time_s);
-    }
-    return nullptr;
+  if (it == states_.end()) {
+    // `degraded` already folds in the detector's evidence floor; the
+    // manager re-tests the rate against its own (possibly per-service)
+    // raise threshold so services can be stricter or laxer than the
+    // detector-wide default.
+    const bool raise_now =
+        window.degraded && window.interval.low > t.raise_rate;
+    if (!raise_now) return nullptr;
+    states_.emplace(location, State{});
+    ++total_raised_;
+    return append(AlertEvent::Kind::kRaised, location, window, time_s);
   }
 
   // Raised: decide between staying raised, starting/continuing the clear
   // cooldown, or clearing.
+  State& st = it->second;
   const bool healthy = window.interval.low <= t.clear_rate;
   if (!healthy) {
     st.healthy_since_s = -1.0;  // still (or again) degraded; reset cooldown
@@ -88,18 +84,13 @@ const AlertEvent* AlertManager::update(const std::string& location,
   }
   if (st.healthy_since_s < 0.0) st.healthy_since_s = time_s;
   if (time_s - st.healthy_since_s >= t.clear_cooldown_s) {
-    st.raised = false;
-    st.healthy_since_s = -1.0;
-    --open_;
     ++total_cleared_;
-    return append(AlertEvent::Kind::kCleared, location, window, time_s);
+    const AlertEvent* ev =
+        append(AlertEvent::Kind::kCleared, location, window, time_s);
+    states_.erase(it);
+    return ev;
   }
   return nullptr;
-}
-
-bool AlertManager::is_raised(const std::string& location) const {
-  const auto it = states_.find(location);
-  return it != states_.end() && it->second.raised;
 }
 
 }  // namespace droppkt::alert

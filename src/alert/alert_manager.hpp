@@ -79,8 +79,10 @@ class AlertManager {
   const AlertEvent* update(const std::string& location,
                            const LocationWindow& window, double time_s);
 
-  bool is_raised(const std::string& location) const;
-  std::size_t open_alerts() const { return open_; }
+  bool is_raised(const std::string& location) const {
+    return states_.contains(location);
+  }
+  std::size_t open_alerts() const { return states_.size(); }
   std::uint64_t total_raised() const { return total_raised_; }
   std::uint64_t total_cleared() const { return total_cleared_; }
 
@@ -92,10 +94,11 @@ class AlertManager {
   const AlertThresholds& thresholds_for(std::string_view location) const;
 
  private:
+  /// A raised location's state; a location without an entry is not
+  /// raised.
   struct State {
-    bool raised = false;
-    /// Time the location first looked healthy while raised; reset on any
-    /// degraded evaluation. Negative: not currently clearing.
+    /// Time the location first looked healthy; reset on any degraded
+    /// evaluation. Negative: not currently clearing.
     double healthy_since_s = -1.0;
   };
 
@@ -103,11 +106,12 @@ class AlertManager {
                            const LocationWindow& window, double time_s);
 
   ManagerConfig config_;
-  // Ordered for the same reason as the detector's map: iteration order is
-  // observable through sweeps and must not depend on hash layout.
+  // Raised locations only: an entry is inserted on raise and erased on
+  // clear, so the map stays bounded by the open alerts however many
+  // locations are evaluated. Ordered for the same reason as the
+  // detector's map: iteration order must not depend on hash layout.
   std::map<std::string, State> states_;
   std::deque<AlertEvent> log_;
-  std::size_t open_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t total_raised_ = 0;
   std::uint64_t total_cleared_ = 0;

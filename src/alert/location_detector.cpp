@@ -7,6 +7,23 @@
 
 namespace droppkt::alert {
 
+Interval wilson_interval_real(double successes, double trials, double z) {
+  DROPPKT_EXPECT(successes >= 0.0 && trials >= 0.0,
+                 "wilson_interval: counts must be non-negative");
+  DROPPKT_EXPECT(successes <= trials,
+                 "wilson_interval: successes cannot exceed trials");
+  DROPPKT_EXPECT(z > 0.0, "wilson_interval: z must be positive");
+  if (trials == 0.0) return {0.0, 1.0};
+  const double n = trials;
+  const double p = successes / n;
+  const double z2 = z * z;
+  const double denom = 1.0 + z2 / n;
+  const double center = (p + z2 / (2.0 * n)) / denom;
+  const double margin =
+      z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
+  return {std::max(0.0, center - margin), std::min(1.0, center + margin)};
+}
+
 LocationDetector::LocationDetector(DetectorConfig config) : config_(config) {
   DROPPKT_EXPECT(config_.half_life_s > 0.0,
                  "LocationDetector: half_life_s must be positive");
@@ -97,8 +114,8 @@ LocationWindow LocationDetector::evaluate(const State& st,
       if (ev.low) out.effective_low += 1.0;
     }
   }
-  out.interval = core::wilson_interval_real(out.effective_low,
-                                            out.effective_sessions, config_.z);
+  out.interval =
+      wilson_interval_real(out.effective_low, out.effective_sessions, config_.z);
   out.degraded = out.effective_sessions >= config_.min_effective_sessions &&
                  out.interval.low > config_.alert_rate;
   return out;
@@ -128,11 +145,6 @@ std::vector<std::pair<std::string, LocationWindow>> LocationDetector::degraded(
     return a.first < b.first;
   });
   return out;
-}
-
-std::vector<std::pair<std::string, LocationWindow>> LocationDetector::snapshot(
-    double time_s) const {
-  return snapshot_at(time_s);
 }
 
 std::vector<std::pair<std::string, LocationWindow>>

@@ -1,14 +1,16 @@
 // Windowed location-level incident detection — the second stage of the
-// alerting pipeline.
+// alerting pipeline, and the network-level signal the paper's
+// introduction motivates: "identify parts of the network that
+// underperform in a lightweight manner", so fine-grained collection can
+// be targeted there.
 //
-// core::LocationAggregator answers "which locations were degraded over the
-// whole run"; an operator needs "which locations are degraded *now*". The
-// detector generalizes it with time windows: each verdict is a Bernoulli
-// observation of a location's live low-QoE rate that either decays
-// exponentially (half-life) or expires from a sliding window, and a
-// location is degraded when the Wilson lower bound over the *effective*
-// (real-valued) counts credibly exceeds the alert rate — the same
-// credibility test, on fractional sample sizes (wilson_interval_real).
+// Each verdict is a Bernoulli observation of a location's live low-QoE
+// rate that either decays exponentially (half-life) or expires from a
+// sliding window, and a location is degraded when the Wilson lower bound
+// over the *effective* (real-valued) counts credibly exceeds the alert
+// rate. The Wilson interval stays honest at the small per-location
+// sample sizes a monitoring window yields. A sliding window longer than
+// the run counts every verdict once: the whole-run batch view.
 //
 // Evidence is retractable: when a session's stable verdict flips (see
 // SessionAlertFilter), the detector removes the superseded verdict's
@@ -23,9 +25,19 @@
 #include <string>
 #include <vector>
 
-#include "core/aggregator.hpp"
-
 namespace droppkt::alert {
+
+/// Wilson score interval for a binomial proportion at z standard errors.
+struct Interval {
+  double low = 0.0;
+  double high = 1.0;
+};
+
+/// Wilson interval over real-valued counts: under decay or a sliding
+/// window each observation carries a weight, so "successes" and "trials"
+/// are effective sample sizes. Zero trials give the vacuous (0,1).
+Interval wilson_interval_real(double successes, double trials,
+                              double z = 1.96);
 
 enum class WindowKind {
   /// Exponential decay: an observation's weight halves every half_life_s.
@@ -43,7 +55,7 @@ struct DetectorConfig {
   /// Sliding mode: observations older than this are discarded.
   double window_s = 600.0;
   /// Degraded when the Wilson lower bound of the windowed low-QoE rate
-  /// exceeds this (same semantics as core::AggregatorConfig::alert_rate).
+  /// exceeds this: the location is credibly degraded, not just unlucky.
   double alert_rate = 0.5;
   double z = 1.96;  // ~95% interval
   /// Locations with fewer effective sessions than this in the window are
@@ -55,7 +67,7 @@ struct DetectorConfig {
 struct LocationWindow {
   double effective_sessions = 0.0;  // decayed/windowed trial count
   double effective_low = 0.0;       // decayed/windowed low-QoE count
-  core::Interval interval;          // Wilson interval over the above
+  Interval interval;                // Wilson interval over the above
   bool degraded = false;
 };
 
@@ -95,20 +107,15 @@ class LocationDetector {
   std::vector<std::pair<std::string, LocationWindow>> degraded(
       double time_s) const;
 
-  /// Every tracked location's window as of `time_s`, in name order — the
-  /// sweep input for lifecycle evaluation (clears must fire for locations
-  /// that stopped producing events, which degraded() would hide).
-  /// Equivalent to snapshot_at(time_s).
-  std::vector<std::pair<std::string, LocationWindow>> snapshot(
-      double time_s) const;
-
-  /// Every tracked location's window evaluated at `time_s`, which may lie
-  /// in the FUTURE of the last fed event: evaluation is a const pure
-  /// function of the stored evidence (decay / window expiry applied at
-  /// evaluation time, never mutating state), so projecting forward answers
-  /// "what will this location's window look like at t if no further
-  /// verdicts arrive" — the eviction-aware sweep the ROADMAP alerting
-  /// follow-ons asked for, and the basis of the dashboard horizon curves.
+  /// Every tracked location's window evaluated at `time_s`, in name
+  /// order — the sweep input for lifecycle evaluation (clears must fire
+  /// for locations that stopped producing events, which degraded() would
+  /// hide). `time_s` may lie in the FUTURE of the last fed event:
+  /// evaluation is a const pure function of the stored evidence (decay /
+  /// window expiry applied at evaluation time, never mutating state), so
+  /// projecting forward answers "what will this location's window look
+  /// like at t if no further verdicts arrive" — the basis of the
+  /// dashboard horizon curves.
   std::vector<std::pair<std::string, LocationWindow>> snapshot_at(
       double time_s) const;
 

@@ -171,7 +171,7 @@ void AlertPipeline::apply_transition(const Pending& p) {
 }
 
 void AlertPipeline::sweep(double time_s) {
-  for (const auto& [location, window] : detector_.snapshot(time_s)) {
+  for (const auto& [location, window] : detector_.snapshot_at(time_s)) {
     note_update(manager_.update(location, window, time_s));
   }
   if (config_.evict_below_weight > 0.0) {

@@ -6,39 +6,15 @@
 
 namespace droppkt::core {
 
-StreamingMonitor::StreamingMonitor(const QoeEstimator& estimator,
-                                   Callback on_session, MonitorConfig config)
-    : StreamingMonitor(estimator, std::move(on_session), ViewCallback{},
-                       config, ViewTag{}) {
-  DROPPKT_EXPECT(static_cast<bool>(on_session_),
-                 "StreamingMonitor: callback must be callable");
-}
-
-StreamingMonitor StreamingMonitor::with_view_sink(const QoeEstimator& estimator,
-                                                  ViewCallback on_session,
-                                                  MonitorConfig config) {
-  return StreamingMonitor(ViewSinkTag{}, estimator, std::move(on_session),
-                          config);
-}
-
 StreamingMonitor::StreamingMonitor(ViewSinkTag, const QoeEstimator& estimator,
                                    ViewCallback on_session,
                                    MonitorConfig config)
-    : StreamingMonitor(estimator, Callback{}, std::move(on_session), config,
-                       ViewTag{}) {
-  DROPPKT_EXPECT(static_cast<bool>(on_session_view_),
-                 "StreamingMonitor: callback must be callable");
-}
-
-StreamingMonitor::StreamingMonitor(const QoeEstimator& estimator,
-                                   Callback on_session,
-                                   ViewCallback on_session_view,
-                                   MonitorConfig config, ViewTag)
     : estimator_(&estimator),
       on_session_(std::move(on_session)),
-      on_session_view_(std::move(on_session_view)),
       config_(config),
       head_acc_(estimator.make_accumulator()) {
+  DROPPKT_EXPECT(static_cast<bool>(on_session_),
+                 "StreamingMonitor: callback must be callable");
   DROPPKT_EXPECT(estimator.trained(),
                  "StreamingMonitor: estimator must be trained");
   DROPPKT_EXPECT(config_.client_idle_timeout_s > 0.0,
@@ -112,42 +88,26 @@ void StreamingMonitor::emit_records(util::StringPool::Ref client_ref,
 
   // Materialize owning strings into grow-only scratch: emit_txns_ keeps
   // every element's sni capacity across sessions, so in steady state the
-  // emission itself allocates nothing either. View sinks can opt out and
-  // read the interned records straight off the view.
-  const bool materialize =
-      config_.materialize_transactions || !on_session_view_;
-  if (materialize) {
+  // emission itself allocates nothing either. Sinks can opt out and read
+  // the interned records straight off the view.
+  MonitoredSessionView view;
+  if (config_.materialize_transactions) {
     if (emit_txns_.size() < recs.size()) emit_txns_.resize(recs.size());
     for (std::size_t i = 0; i < recs.size(); ++i) {
       to_transaction(recs[i], *sni_pool_, emit_txns_[i]);
     }
+    view.transactions = {emit_txns_.data(), recs.size()};
   }
   sessions_ctr_->inc();
-  if (on_session_view_) {
-    MonitoredSessionView view;
-    view.client = client_pool_->view(client_ref);
-    if (materialize) view.transactions = {emit_txns_.data(), recs.size()};
-    view.records = recs;
-    view.sni_pool = sni_pool_;
-    view.predicted_class = predicted;
-    view.confidence = confidence;
-    view.start_s = recs.front().start_s;
-    view.end_s = end_s;
-    view.detected_s = detected_s;
-    on_session_view_(view);
-  } else {
-    emit_session_.client.assign(client_pool_->view(client_ref));
-    emit_session_.transactions.assign(emit_txns_.begin(),
-                                      emit_txns_.begin() +
-                                          static_cast<std::ptrdiff_t>(
-                                              recs.size()));
-    emit_session_.predicted_class = predicted;
-    emit_session_.confidence = confidence;
-    emit_session_.start_s = recs.front().start_s;
-    emit_session_.end_s = end_s;
-    emit_session_.detected_s = detected_s;
-    on_session_(emit_session_);
-  }
+  view.client = client_pool_->view(client_ref);
+  view.records = recs;
+  view.sni_pool = sni_pool_;
+  view.predicted_class = predicted;
+  view.confidence = confidence;
+  view.start_s = recs.front().start_s;
+  view.end_s = end_s;
+  view.detected_s = detected_s;
+  on_session_(view);
 }
 
 void StreamingMonitor::emit_pending(util::StringPool::Ref client_ref,

@@ -35,9 +35,9 @@
 
 namespace droppkt::core {
 
-/// A completed, classified session as reported by the monitor. Callback
-/// sinks receive a const reference to monitor-owned scratch that is reused
-/// for the next emission — copy what must outlive the call.
+/// An owning copy of a completed, classified session — what
+/// MonitoredSessionView::to_owned() returns for sinks that keep sessions
+/// past the callback.
 struct MonitoredSession {
   std::string client;
   trace::TlsLog transactions;
@@ -74,18 +74,21 @@ struct MonitoredSessionView {
   double end_s = 0.0;
   double detected_s = 0.0;  // see MonitoredSession::detected_s
 
-  /// Deep copy for sinks that outlive the callback. Requires the monitor
-  /// to be materializing transactions (the default).
+  /// Deep copy for sinks that outlive the callback. The transactions are
+  /// rebuilt from `records` and `sni_pool`, so the copy is complete
+  /// whether or not the monitor materializes transactions.
   MonitoredSession to_owned() const {
-    return MonitoredSession{
-        .client = std::string(client),
-        .transactions = trace::TlsLog(transactions.begin(),
-                                      transactions.end()),
-        .predicted_class = predicted_class,
-        .confidence = confidence,
-        .start_s = start_s,
-        .end_s = end_s,
-        .detected_s = detected_s};
+    MonitoredSession out{.client = std::string(client),
+                         .transactions = trace::TlsLog(records.size()),
+                         .predicted_class = predicted_class,
+                         .confidence = confidence,
+                         .start_s = start_s,
+                         .end_s = end_s,
+                         .detected_s = detected_s};
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      to_transaction(records[i], *sni_pool, out.transactions[i]);
+    }
+    return out;
   }
 };
 
@@ -125,12 +128,11 @@ struct MonitorConfig {
   /// the pending window holds min_transactions records (0 = off). Needs a
   /// provisional callback to have any effect.
   std::size_t provisional_every = 0;
-  /// View-sink monitors only: when false, emission skips materializing
-  /// owning trace::TlsTransaction strings and the view's `transactions`
-  /// span is empty — sinks read the interned `records` instead. Saves one
-  /// string resolve+copy per record for sinks (like the alert pipeline)
-  /// that never look at transaction contents. Ignored (always on) for the
-  /// owned-callback constructor, which must hand out owning strings.
+  /// When false, emission skips materializing owning
+  /// trace::TlsTransaction strings and the view's `transactions` span is
+  /// empty — sinks read the interned `records` instead. Saves one string
+  /// resolve+copy per record for sinks (like the alert pipeline) that
+  /// never look at transaction contents.
   bool materialize_transactions = true;
 };
 
@@ -141,24 +143,15 @@ struct MonitorConfig {
 /// borrowed and must outlive the monitor.
 class StreamingMonitor {
  public:
-  using Callback = std::function<void(const MonitoredSession&)>;
   using ViewCallback = std::function<void(const MonitoredSessionView&)>;
   using ProvisionalCallback = std::function<void(const ProvisionalEstimate&)>;
 
-  StreamingMonitor(const QoeEstimator& estimator, Callback on_session,
-                   MonitorConfig config = {});
-
-  /// Monitor with the borrowed-span emit path: sessions are reported as
-  /// MonitoredSessionView, whose client/transactions borrow the monitor's
-  /// emission scratch for the duration of the callback. Sinks that only
-  /// inspect the session (counters, alerting, logging) skip the owned
-  /// copy entirely, and the scratch capacity is reused across sessions.
-  static StreamingMonitor with_view_sink(const QoeEstimator& estimator,
-                                         ViewCallback on_session,
-                                         MonitorConfig config = {});
-
-  /// Tag-dispatched form of with_view_sink for in-place construction
-  /// (emplace / make_unique) — the monitor holds atomics and cannot move.
+  /// Sessions are reported as MonitoredSessionView, whose client and
+  /// transactions borrow the monitor's emission scratch for the duration
+  /// of the callback. Sinks that only inspect the session (counters,
+  /// alerting, logging) skip the owned copy entirely, and the scratch
+  /// capacity is reused across sessions; sinks that keep sessions call
+  /// to_owned().
   struct ViewSinkTag {};
   StreamingMonitor(ViewSinkTag, const QoeEstimator& estimator,
                    ViewCallback on_session, MonitorConfig config = {});
@@ -233,11 +226,6 @@ class StreamingMonitor {
   std::size_t open_clients() const { return open_clients_; }
 
  private:
-  struct ViewTag {};
-  StreamingMonitor(const QoeEstimator& estimator, Callback on_session,
-                   ViewCallback on_session_view, MonitorConfig config,
-                   ViewTag);
-
   struct ClientState {
     /// Slot lifecycle in the dense table below: `open` means the client
     /// has un-emitted state; `init` means the accumulator has been shaped
@@ -274,8 +262,7 @@ class StreamingMonitor {
                     double detected_s);
 
   const QoeEstimator* estimator_;
-  Callback on_session_;
-  ViewCallback on_session_view_;
+  ViewCallback on_session_;
   ProvisionalCallback on_provisional_;
   MonitorConfig config_;
   // Interning pools: owned in standalone use, the shard's in engine use.
@@ -304,12 +291,11 @@ class StreamingMonitor {
   telemetry::Counter* noise_ctr_ = &own_noise_;
   // Scratch reused across emits/provisionals (observe is single-threaded
   // per monitor). emit_txns_ only ever grows, so element string capacity
-  // survives; emit_session_ is the owned-callback materialization buffer.
+  // survives.
   std::vector<double> feature_scratch_;
   std::vector<double> proba_scratch_;
   TlsFeatureAccumulator head_acc_;  // split-prefix accumulator, reused
   trace::TlsLog emit_txns_;         // high-water materialization buffer
-  MonitoredSession emit_session_;
 };
 
 }  // namespace droppkt::core

@@ -267,7 +267,7 @@ void IngestEngine::refresh_gauges() const {
 EngineStatsSnapshot IngestEngine::stats() const {
   refresh_gauges();
   EngineStatsSnapshot snap;
-  LatencyHistogram::Counts merged{};
+  telemetry::Histogram::Counts merged{};
   snap.shards.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& sh = *shards_[i];
@@ -299,8 +299,8 @@ EngineStatsSnapshot IngestEngine::stats() const {
     sh.metrics.latency->add_to(merged);
     snap.shards.push_back(s);
   }
-  snap.latency_p50_us = histogram_quantile_ns(merged, 0.50) / 1000.0;
-  snap.latency_p99_us = histogram_quantile_ns(merged, 0.99) / 1000.0;
+  snap.latency_p50_us = telemetry::histogram_quantile(merged, 0.50) / 1000.0;
+  snap.latency_p99_us = telemetry::histogram_quantile(merged, 0.99) / 1000.0;
   if (config_.alert_sink) {
     const AlertCounts ac = config_.alert_sink->counts();
     snap.alerting = true;

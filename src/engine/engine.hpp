@@ -116,8 +116,9 @@ class IngestEngine {
  public:
   /// Session sink: invoked with a borrowed view (valid only during the
   /// call) — copy via to_owned() to retain, or read the interned `records`
-  /// to stay allocation-free. `transactions` is empty unless
-  /// config.monitor.materialize_transactions is on.
+  /// to stay allocation-free. The view's `transactions` span is empty
+  /// unless config.monitor.materialize_transactions is on; to_owned()
+  /// copies complete sessions either way.
   using SessionSink = std::function<void(const core::MonitoredSessionView&)>;
   using ProvisionalSink =
       std::function<void(const core::ProvisionalEstimate&)>;

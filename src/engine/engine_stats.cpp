@@ -42,7 +42,7 @@ std::string EngineStatsSnapshot::to_string() const {
                 interned_clients, interned_snis);
   out += line;
   std::snprintf(line, sizeof(line),
-                "observe-to-classify latency: p50 %.1f us, p99 %.1f us\n",
+                "enqueue-to-observed latency: p50 %.1f us, p99 %.1f us\n",
                 latency_p50_us, latency_p99_us);
   out += line;
   if (alerting) {

@@ -19,21 +19,6 @@
 
 namespace droppkt::engine {
 
-/// The engine's latency histogram IS the telemetry plane's histogram
-/// (log2-bucketed, wait-free record, concurrently readable counts).
-using LatencyHistogram = telemetry::Histogram;
-
-/// Quantile estimate (q in [0,1]) over merged bucket counts, in
-/// nanoseconds: the geometric midpoint of the bucket holding the q-th
-/// sample. 0 when the histogram is empty. Thin wrapper kept for the
-/// engine's historical call sites (benches, tests).
-inline double histogram_quantile_ns(const LatencyHistogram::Counts& counts,
-                                    double q) {
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  return telemetry::histogram_quantile(counts, q);
-}
-
 /// One shard's registry-backed instruments ("engine.shard<i>.*"). The
 /// pointers are stable for the registry's lifetime; hot paths update
 /// through them with relaxed atomics. Which thread writes each:
@@ -57,7 +42,9 @@ struct ShardMetrics {
   telemetry::Gauge* queue_high_water = nullptr;
   telemetry::Gauge* interned_clients = nullptr;
   telemetry::Gauge* interned_snis = nullptr;
-  telemetry::Histogram* latency = nullptr;  // observe-to-classify, ns
+  /// Sampled records' enqueue -> observe_ref() return time, in ns —
+  /// mostly queue wait, plus the monitor's work on the record itself.
+  telemetry::Histogram* latency = nullptr;
 };
 
 /// Point-in-time copy of one shard's counters.
@@ -90,7 +77,8 @@ struct EngineStatsSnapshot {
   std::size_t interned_clients = 0;  // distinct clients across shard pools
   std::size_t interned_snis = 0;     // distinct SNIs across shard pools
   std::size_t max_queue_high_water = 0;
-  double latency_p50_us = 0.0;  // observe-to-classify latency percentiles
+  // Enqueue -> observe_ref() return percentiles (mostly queue wait).
+  double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
   /// Alerting totals, populated only when an AlertSink is configured.
   bool alerting = false;

@@ -59,7 +59,7 @@ class Gauge {
 /// Log2-bucketed histogram of u64 samples (nanosecond latencies in
 /// practice). record() is wait-free; counts() can be read concurrently —
 /// each bucket is individually coherent, which is all a percentile
-/// estimate needs. Generalizes the engine's former LatencyHistogram.
+/// estimate needs.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;

@@ -9,6 +9,77 @@
 namespace droppkt::alert {
 namespace {
 
+TEST(WilsonInterval, ZeroTrialsIsVacuous) {
+  const auto ci = wilson_interval_real(0.0, 0.0);
+  EXPECT_EQ(ci.low, 0.0);
+  EXPECT_EQ(ci.high, 1.0);
+}
+
+TEST(WilsonInterval, ContainsPointEstimate) {
+  for (const double k : {0.0, 3.0, 10.0, 20.0}) {
+    const auto ci = wilson_interval_real(k, 20.0);
+    const double p = k / 20.0;
+    EXPECT_LE(ci.low, p + 1e-12);
+    EXPECT_GE(ci.high, p - 1e-12);
+    EXPECT_GE(ci.low, 0.0);
+    EXPECT_LE(ci.high, 1.0);
+  }
+}
+
+TEST(WilsonInterval, NarrowsWithSamples) {
+  const auto small = wilson_interval_real(5.0, 10.0);
+  const auto large = wilson_interval_real(500.0, 1000.0);
+  EXPECT_LT(large.high - large.low, small.high - small.low);
+}
+
+TEST(WilsonInterval, KnownValue) {
+  // 8/10 at z=1.96: Wilson interval ~ (0.49, 0.94).
+  const auto ci = wilson_interval_real(8.0, 10.0);
+  EXPECT_NEAR(ci.low, 0.49, 0.02);
+  EXPECT_NEAR(ci.high, 0.94, 0.02);
+}
+
+TEST(WilsonInterval, Validates) {
+  EXPECT_THROW(wilson_interval_real(5.0, 3.0), droppkt::ContractViolation);
+  EXPECT_THROW(wilson_interval_real(1.0, 2.0, 0.0),
+               droppkt::ContractViolation);
+}
+
+TEST(WilsonInterval, ZeroSuccessesAtTinyN) {
+  // p-hat = 0: the lower bound is exactly 0, the upper bound is well away
+  // from both endpoints (5 clean trials don't rule out a sizable rate).
+  const auto ci = wilson_interval_real(0.0, 5.0);
+  EXPECT_NEAR(ci.low, 0.0, 1e-12);
+  EXPECT_GT(ci.high, 0.3);
+  EXPECT_LT(ci.high, 0.7);
+}
+
+TEST(WilsonInterval, AllSuccessesAtTinyN) {
+  // p-hat = 1: upper bound pins to 1, lower bound stays clear of it —
+  // 3/3 is nowhere near credible evidence of a high rate.
+  const auto ci = wilson_interval_real(3.0, 3.0);
+  EXPECT_NEAR(ci.high, 1.0, 1e-12);
+  EXPECT_GT(ci.low, 0.2);
+  EXPECT_LT(ci.low, 0.7);
+}
+
+TEST(WilsonIntervalReal, FractionalCountsInterpolate) {
+  // Effective counts between two whole-number cases land between their
+  // intervals: decaying a window shrinks n and widens the interval.
+  const auto small = wilson_interval_real(4.5, 9.0);
+  const auto large = wilson_interval_real(9.0, 18.0);
+  EXPECT_LT(large.high - large.low, small.high - small.low);
+  EXPECT_EQ(wilson_interval_real(0.0, 0.0).low, 0.0);
+  EXPECT_EQ(wilson_interval_real(0.0, 0.0).high, 1.0);
+}
+
+TEST(WilsonIntervalReal, Validates) {
+  EXPECT_THROW(wilson_interval_real(2.0, 1.0), droppkt::ContractViolation);
+  EXPECT_THROW(wilson_interval_real(-0.5, 1.0), droppkt::ContractViolation);
+  EXPECT_THROW(wilson_interval_real(0.5, 1.0, 0.0),
+               droppkt::ContractViolation);
+}
+
 DetectorConfig decay_cfg(double half_life = 100.0, double min_eff = 0.0) {
   DetectorConfig cfg;
   cfg.window = WindowKind::kDecay;
@@ -120,7 +191,7 @@ TEST(LocationDetector, SnapshotReportsEveryTrackedLocation) {
   LocationDetector det(decay_cfg(100.0));
   det.observe("b", 0.0, true);
   det.observe("a", 1.0, false);
-  const auto snap = det.snapshot(2.0);
+  const auto snap = det.snapshot_at(2.0);
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].first, "a");  // name order
   EXPECT_EQ(snap[1].first, "b");
@@ -138,8 +209,6 @@ TEST(LocationDetector, SnapshotAtProjectsDecayWithoutMutating) {
   EXPECT_NEAR(future[0].second.effective_sessions, 0.5, 1e-12);
   const auto now = det.snapshot_at(0.0);
   EXPECT_NEAR(now[0].second.effective_sessions, 1.0, 1e-12);
-  // snapshot(t) is the same evaluation.
-  EXPECT_NEAR(det.snapshot(100.0)[0].second.effective_sessions, 0.5, 1e-12);
 }
 
 TEST(LocationDetector, HorizonCurveTracksProjectedDecay) {
@@ -240,8 +309,8 @@ TEST(LocationDetector, EvictStaleHonorsKeepPredicate) {
   EXPECT_EQ(det.tracked_locations(), 1u);
   // The survivor is the kept one: its (decayed-to-nothing) state remains
   // visible to snapshots, which is what alert-lifecycle sweeps need.
-  EXPECT_EQ(det.snapshot(1000.0).size(), 1u);
-  EXPECT_EQ(det.snapshot(1000.0)[0].first, "pinned");
+  EXPECT_EQ(det.snapshot_at(1000.0).size(), 1u);
+  EXPECT_EQ(det.snapshot_at(1000.0)[0].first, "pinned");
 }
 
 }  // namespace

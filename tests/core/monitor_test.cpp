@@ -28,11 +28,20 @@ trace::TlsTransaction txn(double start, const std::string& sni,
           .dl_bytes = dl, .sni = sni, .http_count = 3};
 }
 
+constexpr StreamingMonitor::ViewSinkTag kView{};
+
+/// Session sink that keeps an owned copy of every reported session.
+StreamingMonitor::ViewCallback keep_into(std::vector<MonitoredSession>& out) {
+  return [&out](const MonitoredSessionView& v) { out.push_back(v.to_owned()); };
+}
+
+void ignore(const MonitoredSessionView&) {}
+
 TEST(StreamingMonitor, ValidatesConstruction) {
   QoeEstimator untrained;
-  EXPECT_THROW(StreamingMonitor(untrained, [](const MonitoredSession&) {}),
+  EXPECT_THROW(StreamingMonitor(kView, untrained, ignore),
                droppkt::ContractViolation);
-  EXPECT_THROW(StreamingMonitor(trained_estimator(), nullptr),
+  EXPECT_THROW(StreamingMonitor(kView, trained_estimator(), nullptr),
                droppkt::ContractViolation);
 }
 
@@ -41,9 +50,7 @@ TEST(StreamingMonitor, IdleTimeoutDelimitsSessions) {
   MonitorConfig cfg;
   cfg.client_idle_timeout_s = 60.0;
   cfg.min_transactions = 2;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); },
-                       cfg);
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out), cfg);
   for (int i = 0; i < 4; ++i) mon.observe("c1", txn(i * 10.0, "a"));
   // Long idle, then more traffic.
   for (int i = 0; i < 4; ++i) mon.observe("c1", txn(300.0 + i * 10.0, "a"));
@@ -60,9 +67,7 @@ TEST(StreamingMonitor, BurstBoundaryDetectedOnline) {
   std::vector<MonitoredSession> out;
   MonitorConfig cfg;
   cfg.min_transactions = 2;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); },
-                       cfg);
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out), cfg);
   // Session 1: servers a/b, overlapping with session 2's start.
   mon.observe("c1", txn(0.0, "a"));
   mon.observe("c1", txn(5.0, "b"));
@@ -83,9 +88,7 @@ TEST(StreamingMonitor, ClientsAreIndependent) {
   std::vector<MonitoredSession> out;
   MonitorConfig cfg;
   cfg.min_transactions = 2;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); },
-                       cfg);
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out), cfg);
   // Interleaved clients; each has one session.
   for (int i = 0; i < 5; ++i) {
     mon.observe("alice", txn(i * 7.0, "a"));
@@ -103,9 +106,7 @@ TEST(StreamingMonitor, AdvanceTimeEvictsIdleClients) {
   MonitorConfig cfg;
   cfg.client_idle_timeout_s = 60.0;
   cfg.min_transactions = 2;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); },
-                       cfg);
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out), cfg);
   for (int i = 0; i < 4; ++i) mon.observe("idle", txn(i * 10.0, "a"));
   mon.observe("fresh", txn(80.0, "b"));
   EXPECT_TRUE(out.empty());
@@ -134,9 +135,7 @@ TEST(StreamingMonitor, TinySessionsDropped) {
   std::vector<MonitoredSession> out;
   MonitorConfig cfg;
   cfg.min_transactions = 3;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); },
-                       cfg);
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out), cfg);
   mon.observe("c", txn(0.0, "a"));  // a stray beacon connection
   mon.finish();
   EXPECT_TRUE(out.empty());
@@ -144,7 +143,7 @@ TEST(StreamingMonitor, TinySessionsDropped) {
 }
 
 TEST(StreamingMonitor, RejectsOutOfOrderPerClient) {
-  StreamingMonitor mon(trained_estimator(), [](const MonitoredSession&) {});
+  StreamingMonitor mon(kView, trained_estimator(), ignore);
   mon.observe("c", txn(10.0, "a"));
   EXPECT_THROW(mon.observe("c", txn(5.0, "a")), droppkt::ContractViolation);
 }
@@ -153,8 +152,7 @@ TEST(StreamingMonitor, EndToEndBackToBackStreams) {
   // Feed real simulated back-to-back sessions through the monitor and
   // check the session count is close to the truth.
   std::vector<MonitoredSession> out;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); });
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out));
   std::size_t truth = 0;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto stream = build_back_to_back(has::svc1_profile(), 5, seed);
@@ -177,9 +175,7 @@ TEST(StreamingMonitor, ProvisionalEstimatesMidSession) {
   MonitorConfig cfg;
   cfg.min_transactions = 2;
   cfg.provisional_every = 2;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); },
-                       cfg);
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out), cfg);
   struct Seen {
     std::string client;
     std::size_t observed;
@@ -219,7 +215,7 @@ TEST(StreamingMonitor, ProvisionalEstimatesMidSession) {
 }
 
 TEST(StreamingMonitor, ProvisionalsOffByDefault) {
-  StreamingMonitor mon(trained_estimator(), [](const MonitoredSession&) {});
+  StreamingMonitor mon(kView, trained_estimator(), ignore);
   std::size_t fired = 0;
   mon.set_provisional_callback(
       [&](const ProvisionalEstimate&) { ++fired; });
@@ -236,9 +232,7 @@ TEST(StreamingMonitor, EmitsMatchBatchPredictionAfterBurstSplit) {
   std::vector<MonitoredSession> out;
   MonitorConfig cfg;
   cfg.min_transactions = 2;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); },
-                       cfg);
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out), cfg);
   mon.observe("c1", txn(0.0, "a"));
   mon.observe("c1", txn(5.0, "b"));
   mon.observe("c1", txn(20.0, "a"));
@@ -250,46 +244,6 @@ TEST(StreamingMonitor, EmitsMatchBatchPredictionAfterBurstSplit) {
   ASSERT_EQ(out.size(), 2u);
   for (const auto& s : out) {
     EXPECT_EQ(s.predicted_class, trained_estimator().predict(s.transactions));
-  }
-}
-
-TEST(StreamingMonitor, ViewSinkMatchesOwnedSink) {
-  // The borrowed-span emit path must report exactly the sessions the owned
-  // path does — same boundaries, classes, confidences, and timestamps —
-  // while its views stay valid only inside the callback (checked by
-  // copying through to_owned()).
-  const auto stream = build_back_to_back(has::svc1_profile(), 4, 23);
-  MonitorConfig cfg;
-  cfg.client_idle_timeout_s = 120.0;
-
-  std::vector<MonitoredSession> owned;
-  StreamingMonitor mon_owned(
-      trained_estimator(),
-      [&](const MonitoredSession& s) { owned.push_back(s); }, cfg);
-  for (const auto& t : stream.merged) mon_owned.observe("c", t);
-  mon_owned.finish();
-
-  std::vector<MonitoredSession> viewed;
-  auto mon_view = StreamingMonitor::with_view_sink(
-      trained_estimator(),
-      [&](const MonitoredSessionView& v) {
-        EXPECT_EQ(v.client, "c");
-        viewed.push_back(v.to_owned());
-      },
-      cfg);
-  for (const auto& t : stream.merged) mon_view.observe("c", t);
-  mon_view.finish();
-
-  ASSERT_EQ(viewed.size(), owned.size());
-  ASSERT_GE(viewed.size(), 2u);
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    EXPECT_EQ(viewed[i].client, owned[i].client);
-    EXPECT_EQ(viewed[i].transactions.size(), owned[i].transactions.size());
-    EXPECT_EQ(viewed[i].predicted_class, owned[i].predicted_class);
-    EXPECT_EQ(viewed[i].confidence, owned[i].confidence);
-    EXPECT_EQ(viewed[i].start_s, owned[i].start_s);
-    EXPECT_EQ(viewed[i].end_s, owned[i].end_s);
-    EXPECT_EQ(viewed[i].detected_s, owned[i].detected_s);
   }
 }
 
@@ -306,9 +260,7 @@ TEST(StreamingMonitor, MatchesOfflineSplitOnSingleClient) {
   }
 
   std::vector<MonitoredSession> out;
-  StreamingMonitor mon(trained_estimator(),
-                       [&](const MonitoredSession& s) { out.push_back(s); },
-                       cfg);
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out), cfg);
   for (const auto& t : stream.merged) mon.observe("c", t);
   mon.finish();
   EXPECT_EQ(out.size(), offline_kept);

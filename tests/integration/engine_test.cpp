@@ -11,6 +11,7 @@
 #include <tuple>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,8 +59,10 @@ Canonical canonicalize(const std::vector<core::MonitoredSession>& sessions) {
 std::vector<core::MonitoredSession> run_plain(const Feed& feed) {
   std::vector<core::MonitoredSession> out;
   core::StreamingMonitor mon(
-      trained_estimator(),
-      [&](const core::MonitoredSession& s) { out.push_back(s); });
+      core::StreamingMonitor::ViewSinkTag{}, trained_estimator(),
+      [&](const core::MonitoredSessionView& s) {
+        out.push_back(s.to_owned());
+      });
   for (const auto& r : feed) mon.observe(r.client, r.txn);
   mon.finish();
   return out;
@@ -166,10 +169,18 @@ TEST(IngestEngine, BatchSizeDoesNotChangeSessions) {
 
 // Sinks that only need counts/bytes can turn off transaction
 // materialization; the view then carries interned records (plus the pool
-// to resolve SNIs) and classification is unchanged.
+// to resolve SNIs), classification is unchanged, and to_owned() still
+// copies complete sessions by rebuilding the transactions from the
+// records.
 TEST(IngestEngine, UnmaterializedViewCarriesRecords) {
+  using Session = std::tuple<std::string, std::vector<std::string>, int>;
+  const auto key = [](const core::MonitoredSession& s) {
+    std::vector<std::string> snis;
+    for (const auto& t : s.transactions) snis.push_back(t.sni);
+    return Session{s.client, std::move(snis), s.predicted_class};
+  };
   std::mutex mu;
-  std::vector<std::tuple<std::string, std::size_t, int>> got;
+  std::multiset<Session> lean;
   EngineConfig cfg;
   cfg.num_shards = 2;
   cfg.monitor.materialize_transactions = false;
@@ -180,23 +191,17 @@ TEST(IngestEngine, UnmaterializedViewCarriesRecords) {
           const std::lock_guard<std::mutex> lock(mu);
           EXPECT_TRUE(s.transactions.empty());
           EXPECT_NE(s.sni_pool, nullptr);
-          for (const auto& r : s.records) {
-            EXPECT_FALSE(s.sni_pool->view(r.sni_ref).empty());
-          }
-          got.emplace_back(std::string(s.client), s.records.size(),
-                           s.predicted_class);
+          const core::MonitoredSession owned = s.to_owned();
+          EXPECT_EQ(owned.transactions.size(), s.records.size());
+          lean.insert(key(owned));
         },
         cfg);
     for (const auto& r : shared_feed()) eng.ingest(r.client, r.txn);
     eng.finish();
   }
-  // Same sessions (client, record count, class) as the materialized run.
-  std::multiset<std::tuple<std::string, std::size_t, int>> lean(
-      got.begin(), got.end());
-  std::multiset<std::tuple<std::string, std::size_t, int>> full;
-  for (const auto& s : run_plain(shared_feed())) {
-    full.insert({s.client, s.transactions.size(), s.predicted_class});
-  }
+  // Same sessions (client, SNI sequence, class) as the materialized run.
+  std::multiset<Session> full;
+  for (const auto& s : run_plain(shared_feed())) full.insert(key(s));
   EXPECT_EQ(lean, full);
 }
 

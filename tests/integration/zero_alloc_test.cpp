@@ -10,6 +10,8 @@
 //     emit), driven single-threaded, and
 //   * the engine's producer side (intern -> POD convert -> enqueue,
 //     batched and unbatched).
+// It also checks that the alert manager keeps no state for a location it
+// evaluates as healthy, so per-location state tracks only open alerts.
 // Warmup first feeds enough records that every client is known, every
 // scratch buffer has reached its high-water capacity, and every string is
 // interned; the measured window then replays the same shape of traffic.
@@ -28,7 +30,9 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "alert/alert_manager.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/estimator.hpp"
 #include "core/monitor.hpp"
@@ -254,6 +258,37 @@ TEST(ZeroAlloc, EngineProducerSteadyStateIngest) {
   EXPECT_EQ(batched, 0u)
       << batched << " producer-side allocations across batched ingest";
   EXPECT_GT(eng.sessions_reported(), 0u);
+#endif
+}
+
+TEST(ZeroAlloc, AlertManagerUnseenHealthyLocations) {
+#if !DROPPKT_ALLOC_COUNTING
+  GTEST_SKIP() << "allocator owned by a sanitizer";
+#else
+  alert::AlertManager mgr;
+  std::vector<std::string> locations;
+  for (int i = 0; i < 200; ++i) {
+    // Longer than the small-string buffer, so a stored key would allocate.
+    locations.push_back("svc1:region-north:cell-" + std::to_string(i));
+  }
+  alert::LocationWindow healthy;
+  healthy.effective_sessions = 20.0;
+  healthy.effective_low = 2.0;
+  healthy.interval = {0.03, 0.3};
+
+  std::size_t events = 0;
+  const std::uint64_t before = t_allocations;
+  for (std::size_t i = 0; i < locations.size(); ++i) {
+    events += mgr.update(locations[i], healthy, static_cast<double>(i)) !=
+              nullptr;
+  }
+  const std::uint64_t during = t_allocations - before;
+
+  EXPECT_EQ(events, 0u);
+  EXPECT_EQ(mgr.open_alerts(), 0u);
+  EXPECT_EQ(during, 0u)
+      << during << " allocations evaluating " << locations.size()
+      << " unseen healthy locations";
 #endif
 }
 

@@ -23,7 +23,8 @@
 //   * CompiledForest probabilities differ from the tree-walk forest's by
 //     even one bit, batch or one row at a time;
 //   * (full mode) CompiledForest throughput is below 10x the tree-walk
-//     batch path measured in the same run.
+//     batch path measured in the same run (single-thread, fastest of 5
+//     alternating passes per side).
 // Fold-parallel CV slower than sequential CV is a gate on multi-core
 // hosts and a warning on 1-core containers (there is nothing to win).
 //
@@ -43,6 +44,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -407,7 +409,12 @@ int main(int argc, char** argv) {
               accuracy_ok ? "ok" : "FAIL");
 
   // Compiled flat-forest inference: identity gate (bit-equal probabilities
-  // vs the tree-walk batch path) and throughput.
+  // vs the tree-walk batch path) and throughput. The 1-thread passes the
+  // 10x gate compares alternate, tree-walk then compiled, and each side
+  // keeps its fastest of kSpeedPasses: a shared host's speed drifts over
+  // seconds, alternation exposes both sides to the same drift, and the
+  // minimum drops the passes a slow stretch inflated.
+  constexpr int kSpeedPasses = 5;
   const ml::RandomForest& forest = *exact.forest_1t;
   const auto cf = ml::CompiledForest::compile(forest);
   const auto c_count = static_cast<std::size_t>(train.num_classes());
@@ -415,18 +422,22 @@ int main(int argc, char** argv) {
   std::vector<double> want(test.size() * c_count);
   std::vector<double> got(want.size());
 
-  const auto t_p1 = std::chrono::steady_clock::now();
-  forest.predict_proba_batch(test, want, 1);
-  const double treewalk_1t_s = seconds_since(t_p1);
+  double treewalk_1t_s = std::numeric_limits<double>::infinity();
+  double compiled_1t_s = treewalk_1t_s;
+  bool identity_ok = true;
+  for (int pass = 0; pass < kSpeedPasses; ++pass) {
+    const auto t_p1 = std::chrono::steady_clock::now();
+    forest.predict_proba_batch(test, want, 1);
+    treewalk_1t_s = std::min(treewalk_1t_s, seconds_since(t_p1));
+    const auto t_c1 = std::chrono::steady_clock::now();
+    cf.predict_proba_batch(test, got, 1);
+    compiled_1t_s = std::min(compiled_1t_s, seconds_since(t_c1));
+    identity_ok = identity_ok && want == got;
+  }
   const auto t_pn = std::chrono::steady_clock::now();
   forest.predict_proba_batch(test, got, max_threads);
   const double treewalk_nt_s = seconds_since(t_pn);
-  bool identity_ok = want == got;  // tree-walk itself thread-invariant
-
-  const auto t_c1 = std::chrono::steady_clock::now();
-  cf.predict_proba_batch(test, got, 1);
-  const double compiled_1t_s = seconds_since(t_c1);
-  identity_ok = identity_ok && want == got;
+  identity_ok = identity_ok && want == got;  // tree-walk thread-invariant
   const auto t_cn = std::chrono::steady_clock::now();
   cf.predict_proba_batch(test, got, max_threads);
   const double compiled_nt_s = seconds_since(t_cn);
@@ -465,9 +476,10 @@ int main(int argc, char** argv) {
   std::printf("  bit-identical probabilities: %s | single-row = batch: %s\n",
               identity_ok ? "yes" : "NO — BUG",
               single_row_ok ? "yes" : "NO — BUG");
-  std::printf("  compiled speedup: %.1fx vs tree-walk (gate: >=10x%s): %s\n\n",
-              compiled_speedup, smoke ? ", skipped in smoke" : "",
-              speedup_ok ? "ok" : "FAIL");
+  std::printf("  compiled speedup: %.1fx vs tree-walk, fastest of %d "
+              "alternating 1t passes each (gate: >=10x%s): %s\n\n",
+              compiled_speedup, kSpeedPasses,
+              smoke ? ", skipped in smoke" : "", speedup_ok ? "ok" : "FAIL");
 
   // Fold-parallel cross-validation (the paper's evaluation loop): one
   // shared pool, folds sequential, trees parallel within each fold.

@@ -8,46 +8,6 @@
 #include "util/stats.hpp"
 
 namespace droppkt::core {
-namespace {
-
-/// min / median / max of a scratch sample without a full sort,
-/// bit-identical to util::summarize_sorted over the sorted copy: the same
-/// order statistics are selected (via nth_element partitioning) and the
-/// median interpolation replicates percentile_sorted's arithmetic on the
-/// same operand values. Reorders `v`; small samples just sort (cheaper
-/// than selection at that size, and trivially identical).
-struct MinMedMax {
-  double min, median, max;
-};
-
-MinMedMax min_med_max(std::vector<double>& v) {
-  const std::size_t n = v.size();
-  DROPPKT_ASSERT(n > 0, "min_med_max: empty sample");
-  if (n <= 32) {
-    std::sort(v.begin(), v.end());
-    const auto s = util::summarize_sorted(v);
-    return {s.min, s.median, s.max};
-  }
-  // percentile_sorted(v, 50): rank = 0.5 * (n - 1), lo = floor(rank).
-  const double rank = 0.5 * static_cast<double>(n - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(v.begin(), nth, v.end());
-  const double v_lo = *nth;  // sorted[lo]
-  // n > 32 puts lo in [1, n-2]: both partitions are non-empty, so the
-  // global min lives left of nth and sorted[lo+1] / the global max right.
-  const double v_min = *std::min_element(v.begin(), nth);
-  double v_hi = v[lo + 1];
-  double v_max = v_hi;
-  for (std::size_t i = lo + 2; i < n; ++i) {
-    v_hi = std::min(v_hi, v[i]);
-    v_max = std::max(v_max, v[i]);
-  }
-  return {v_min, v_lo + frac * (v_hi - v_lo), v_max};
-}
-
-}  // namespace
 
 TlsFeatureAccumulator::TlsFeatureAccumulator(TlsFeatureConfig config)
     : config_(std::move(config)) {
@@ -197,11 +157,10 @@ void TlsFeatureAccumulator::snapshot_into(std::span<double> out) const {
 
   for (const util::OrderedSample* metric :
        {&dl_, &ul_, &dur_, &tdr_, &d2u_, &iat_}) {
-    const auto v = metric->sorted();
     if (config_.extended_stats) {
       // summarize_sorted fixes the fold order of mean and stddev, which
       // the batch extractor's rounding depends on.
-      const auto s = util::summarize_sorted(v);
+      const auto s = util::summarize_sorted(metric->sorted());
       out[f++] = s.min;
       out[f++] = s.median;
       out[f++] = s.max;
@@ -209,12 +168,14 @@ void TlsFeatureAccumulator::snapshot_into(std::span<double> out) const {
       out[f++] = s.stddev;
       continue;
     }
-    // The same expressions summarize_sorted uses, without its two O(n)
-    // passes for moments this config drops. An empty sample (IAT of a
-    // single transaction) reads as zeros, like summarize_sorted.
-    out[f++] = v.empty() ? 0.0 : v.front();
-    out[f++] = util::percentile_sorted(v, 50.0);
-    out[f++] = v.empty() ? 0.0 : v.back();
+    // The values summarize_sorted would report, without its two O(n)
+    // passes for moments this config drops, and by selection rather than
+    // a sort when many values arrived since the last query. An empty
+    // sample (IAT of a single transaction) reads as zeros.
+    const auto s = metric->min_med_max();
+    out[f++] = s.min;
+    out[f++] = s.median;
+    out[f++] = s.max;
   }
 
   for (std::size_t i = 0; i < cum_dl_.size(); ++i) {
@@ -358,8 +319,7 @@ void TlsFeatureAccumulator::snapshot_at(double horizon_s,
       // Per-horizon hot path: selection instead of a full sort. An empty
       // sample (IAT of a single-transaction view) summarizes to zeros,
       // like summarize_sorted.
-      const auto s = s_summary_.empty() ? MinMedMax{0.0, 0.0, 0.0}
-                                        : min_med_max(s_summary_);
+      const auto s = util::min_med_max(s_summary_);
       out[f++] = s.min;
       out[f++] = s.median;
       out[f++] = s.max;

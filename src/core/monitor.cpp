@@ -58,12 +58,14 @@ void StreamingMonitor::set_provisional_callback(
   on_provisional_ = std::move(on_provisional);
 }
 
-void StreamingMonitor::sync_acc(ClientState& state) {
-  for (std::size_t i = state.acc_synced; i < state.pending.size(); ++i) {
+void StreamingMonitor::fold_to(ClientState& state, std::size_t end) {
+  DROPPKT_ASSERT(state.acc_synced <= end && end <= state.pending.size(),
+                 "StreamingMonitor: fold range out of the pending window");
+  for (std::size_t i = state.acc_synced; i < end; ++i) {
     const TlsRecord& r = state.pending[i];
     state.acc.observe(r.start_s, r.end_s, r.ul_bytes, r.dl_bytes);
   }
-  state.acc_synced = state.pending.size();
+  state.acc_synced = end;
 }
 
 void StreamingMonitor::emit_records(util::StringPool::Ref client_ref,
@@ -112,7 +114,7 @@ void StreamingMonitor::emit_records(util::StringPool::Ref client_ref,
 
 void StreamingMonitor::emit_pending(util::StringPool::Ref client_ref,
                                     ClientState& state, double detected_s) {
-  sync_acc(state);
+  fold_to(state, state.pending.size());
   emit_records(client_ref, state.pending, state.acc, detected_s);
   state.pending.clear();
   state.acc.reset();
@@ -170,7 +172,7 @@ void StreamingMonitor::observe_ref(util::StringPool::Ref client_ref,
   if (on_provisional_ && config_.provisional_every > 0 &&
       state.pending.size() >= config_.min_transactions &&
       state.pending.size() % config_.provisional_every == 0) {
-    sync_acc(state);
+    fold_to(state, state.pending.size());
     ProvisionalEstimate est;
     est.client = client_pool_->view(client_ref);
     est.transactions_observed = state.pending.size();
@@ -192,23 +194,34 @@ void StreamingMonitor::observe_ref(util::StringPool::Ref client_ref,
   // completed session.
   const std::size_t k = state.scan.on_append(state.pending,
                                              config_.session_id);
-  if (k != 0) {
-    // Emit the prefix through the reused split accumulator, then slide the
-    // survivors down. The live accumulator restarts lazily from the
-    // surviving records (acc_synced = 0), folded on next need.
+  if (k == 0) {
+    // No cut: fold the records the scan has settled, a block at a time.
+    const std::size_t settled = state.scan.settled();
+    if (settled >= state.acc_synced + kFoldBlock) fold_to(state, settled);
+    return;
+  }
+  // Emit the prefix, then slide the survivors down; the live accumulator
+  // restarts from them (acc_synced = 0). Block folds stop at settled(),
+  // which no cut undercuts, so unless a provisional snapshot folded
+  // records past the cut, the head is completed in place by folding
+  // [acc_synced, k); otherwise it is re-folded into head_acc_.
+  const TlsFeatureAccumulator* head = &state.acc;
+  if (state.acc_synced <= k) {
+    fold_to(state, k);
+  } else {
     head_acc_.reset();
     for (std::size_t i = 0; i < k; ++i) {
       const TlsRecord& r = state.pending[i];
       head_acc_.observe(r.start_s, r.end_s, r.ul_bytes, r.dl_bytes);
     }
-    emit_records(client_ref, {state.pending.data(), k}, head_acc_,
-                 rec.start_s);
-    state.pending.erase(state.pending.begin(),
-                        state.pending.begin() + static_cast<std::ptrdiff_t>(k));
-    state.acc.reset();
-    state.acc_synced = 0;
-    state.scan.rebuild(state.pending, config_.session_id);
+    head = &head_acc_;
   }
+  emit_records(client_ref, {state.pending.data(), k}, *head, rec.start_s);
+  state.pending.erase(state.pending.begin(),
+                      state.pending.begin() + static_cast<std::ptrdiff_t>(k));
+  state.acc.reset();
+  state.acc_synced = 0;
+  state.scan.rebuild(state.pending, config_.session_id);
 }
 
 void StreamingMonitor::advance_time(double now_s) {

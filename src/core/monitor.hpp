@@ -236,11 +236,17 @@ class StreamingMonitor {
     bool init = false;
     std::vector<TlsRecord> pending;  // in-progress session, POD records
     double last_start_s = -1e18;     // latest transaction start seen
-    // Live feature state over pending[0..acc_synced). Folding is lazy:
-    // records are appended POD-cheap and folded in arrival order only
-    // when a classification needs the accumulator (emit / provisional),
-    // which keeps the record path free of accumulator arithmetic while
-    // staying bit-identical — snapshots are functions of the fed multiset.
+    // Live feature state over pending[0..acc_synced). Records are appended
+    // POD-cheap and folded in arrival order ahead of the verdict: once the
+    // boundary scan has settled kFoldBlock records past acc_synced (no
+    // later cut can fall below scan.settled()), they fold in one block —
+    // one cache-cold visit to the accumulator per block, not per record.
+    // A verdict then folds only what is left: a burst cut at k folds
+    // [acc_synced, k), an eviction the unsettled tail plus less than one
+    // block. A provisional estimate folds everything pending; when a
+    // later cut falls below that point, the head is re-folded into
+    // head_acc_. Bit-identical in every case, since snapshots are
+    // functions of the fed multiset.
     TlsFeatureAccumulator acc;
     std::size_t acc_synced = 0;
     // Incremental boundary detection over `pending` (see
@@ -249,8 +255,11 @@ class StreamingMonitor {
     IncrementalBoundaryScan scan;
   };
 
-  /// Fold pending[acc_synced..) into the accumulator.
-  void sync_acc(ClientState& state);
+  /// Settled records folded into a client's accumulator at a time.
+  static constexpr std::size_t kFoldBlock = 16;
+
+  /// Fold pending[acc_synced, end) into the accumulator.
+  void fold_to(ClientState& state, std::size_t end);
   /// Classify and report `recs` (acc must already mirror them), resolving
   /// client/SNI strings from the pools into reused emission scratch.
   void emit_records(util::StringPool::Ref client_ref,
@@ -294,7 +303,9 @@ class StreamingMonitor {
   // survives.
   std::vector<double> feature_scratch_;
   std::vector<double> proba_scratch_;
-  TlsFeatureAccumulator head_acc_;  // split-prefix accumulator, reused
+  // A cut's head, re-folded when a provisional snapshot had folded the
+  // live accumulator past the cut.
+  TlsFeatureAccumulator head_acc_;
   trace::TlsLog emit_txns_;         // high-water materialization buffer
 };
 

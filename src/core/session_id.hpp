@@ -75,6 +75,8 @@ void detect_session_starts_into(std::span<const TlsRecord> merged,
 /// completed session — cut them and call rebuild() with the surviving
 /// suffix. Byte-identical split decisions to running
 /// detect_session_starts_into per arrival and cutting at the first start.
+/// Between cuts, settled() tells which prefix of the window is already
+/// certain to stay in the current session.
 class IncrementalBoundaryScan {
  public:
   /// Forget everything (the window was emptied).
@@ -92,6 +94,20 @@ class IncrementalBoundaryScan {
   /// active suffix.
   void rebuild(std::span<const TlsRecord> window,
                const SessionIdParams& params);
+
+  /// Index below which no position can become a cut before the next cut:
+  /// the next k > 0 that on_append() returns is >= settled(). A position
+  /// whose W-second look-ahead has closed (the newest record starts more
+  /// than W after it) has final counters, and it was evaluated — negative
+  /// — after their last change. A cut re-opens every survivor's
+  /// seen-before set, so settled() reads 0 after rebuild() until the next
+  /// on_append() has re-evaluated the window; the survivors of a cut lie
+  /// within W of it, so they are all refractory and none becomes a cut.
+  /// Always < window.size() after an append: the newest record's
+  /// look-ahead is open.
+  std::size_t settled() const {
+    return evaluate_all_next_ ? 0 : active_begin_;
+  }
 
  private:
   void append(std::span<const TlsRecord> window, const SessionIdParams& params);

@@ -1,22 +1,29 @@
-// Sorted multiset of doubles for incremental order statistics.
+// Multiset of doubles for exact incremental order statistics.
 //
 // The feature accumulator needs exact (not sketched) min/median/max per
 // transaction metric while records arrive one at a time, in any order.
 // Every order statistic is a function of the value *multiset*, so the
-// container only has to present a sorted view when queried — it does not
-// have to keep the storage sorted between insertions. The storage is a
-// sorted prefix followed by an unsorted tail of the values inserted since
-// the last query. insert() appends in O(1): an in-order value (chronological
-// feeds usually send those) extends the prefix, anything else starts or
-// grows the tail. A query sorts only the tail — at most kMergeTail values,
-// copied into a stack buffer — and merges it into the prefix from the back,
-// so a streaming monitor that queries every few records pays for the new
-// values instead of re-sorting the whole sample. A tail longer than the
-// buffer (the batch extractor's observe-all-then-query-once pattern) falls
-// back to one full sort. Either way the view is the sorted multiset, so it
-// is identical no matter the insertion order or query cadence.
+// container does not have to keep its storage sorted between insertions.
+// The storage is a sorted prefix followed by an unsorted tail of the values
+// inserted since the last query. insert() appends in O(1): an in-order
+// value (chronological feeds usually send those) extends the prefix,
+// anything else starts or grows the tail.
 //
-// The merge runs inside const queries (mutable storage): concurrent
+// Queries pay for the tail in one of two ways:
+//   * A tail of at most kMergeTail values — a streaming monitor's
+//     provisional estimates query every few records — is sorted in a stack
+//     buffer and merged into the prefix from the back, so the query pays
+//     for the new values instead of re-sorting the whole sample.
+//   * A longer tail — a monitor's session verdict over records folded in
+//     blocks since the last query, or the batch extractor's
+//     observe-all-then-query-once pattern — is answered by min_med_max()
+//     with in-place selection (util::min_med_max), O(n) instead of a sort.
+//     Selection leaves the storage unsorted, so the whole sample becomes
+//     the tail; a later sorted() or erase_one() sorts it once.
+// Either way the answers are those of the sorted multiset, identical no
+// matter the insertion order or query cadence.
+//
+// Queries reorganize mutable storage inside const methods: concurrent
 // queries on one instance are not safe, matching the accumulator's
 // one-writer-per-client use.
 #pragma once
@@ -27,6 +34,7 @@
 #include <vector>
 
 #include "util/expect.hpp"
+#include "util/stats.hpp"
 
 namespace droppkt::util {
 
@@ -60,15 +68,31 @@ class OrderedSample {
   }
   void reserve(std::size_t n) { values_.reserve(n); }
 
-  /// The sample, sorted ascending. Stable storage until the next mutation.
+  /// The sample, sorted ascending. Stable storage until the next mutation
+  /// or min_med_max() query.
   std::span<const double> sorted() const {
     ensure_sorted();
     return values_;
   }
 
+  /// min, median (percentile_sorted's interpolation) and max, zeros when
+  /// empty — bit-identical to reading them off sorted(). A short tail is
+  /// merged as sorted() would; a longer one is selected in place instead
+  /// of sorted.
+  MinMedMax min_med_max() const {
+    if (values_.size() - sorted_len_ > kMergeTail) {
+      sorted_len_ = 0;
+      return util::min_med_max(values_);
+    }
+    ensure_sorted();
+    if (values_.empty()) return {};
+    return {values_.front(), percentile_sorted(values_, 50.0),
+            values_.back()};
+  }
+
  private:
   // Longest unsorted tail merged through the stack buffer; longer tails
-  // take one full sort.
+  // take one full sort (sorted()) or a selection (min_med_max()).
   static constexpr std::size_t kMergeTail = 16;
 
   void ensure_sorted() const {

@@ -32,6 +32,32 @@ Summary summarize_sorted(std::span<const double> sorted) {
   return s;
 }
 
+MinMedMax min_med_max(std::span<double> values) {
+  const std::size_t n = values.size();
+  if (n <= 32) {
+    if (n == 0) return {};
+    std::sort(values.begin(), values.end());
+    return {values.front(), percentile_sorted(values, 50.0), values.back()};
+  }
+  // percentile_sorted(v, 50): rank = 0.5 * (n - 1), lo = floor(rank).
+  const double rank = 0.5 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), nth, values.end());
+  const double v_lo = *nth;  // sorted[lo]
+  // n > 32 puts lo in [1, n-2]: both partitions are non-empty, so the
+  // global min lives left of nth and sorted[lo+1] / the global max right.
+  const double v_min = *std::min_element(values.begin(), nth);
+  double v_hi = values[lo + 1];
+  double v_max = v_hi;
+  for (std::size_t i = lo + 2; i < n; ++i) {
+    v_hi = std::min(v_hi, values[i]);
+    v_max = std::max(v_max, values[i]);
+  }
+  return {v_min, v_lo + frac * (v_hi - v_lo), v_max};
+}
+
 double percentile(std::span<const double> values, double p) {
   if (values.empty()) return percentile_sorted(values, p);
   std::vector<double> sorted(values.begin(), values.end());

@@ -29,6 +29,23 @@ Summary summarize(std::span<const double> values);
 /// debug builds only).
 Summary summarize_sorted(std::span<const double> sorted);
 
+/// Minimum, median (percentile_sorted's interpolation) and maximum of a
+/// sample.
+struct MinMedMax {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+};
+
+/// min / median / max of an unsorted sample without a full sort,
+/// bit-identical to summarize_sorted over the sorted sample: the same
+/// order statistics are selected (nth_element partitioning) and the
+/// median interpolation repeats percentile_sorted's arithmetic on the
+/// same operands. Reorders `values` in place, allocates nothing; samples
+/// of 32 or fewer values are simply sorted (cheaper than selection at
+/// that size, and trivially identical). An empty sample yields zeros.
+MinMedMax min_med_max(std::span<double> values);
+
 /// Linear-interpolated percentile, p in [0, 100]. Empty input yields 0.
 double percentile(std::span<const double> values, double p);
 

@@ -60,7 +60,9 @@ void expect_bit_identical(const std::vector<double>& a,
 // provisional estimates, and compare each snapshot bit for bit with the
 // batch extractor over the same prefix. Short cadences make the samples
 // merge small unsorted tails into their sorted prefix; long ones (and the
-// batch extractor itself) take the full sort. Returns the final snapshot.
+// batch extractor itself) answer min/median/max by selection over the
+// unsorted tail, or sort the samples when extended stats need the
+// moments. Returns the final snapshot.
 std::vector<double> expect_cadence_matches_batch(
     const trace::TlsLog& log, std::size_t k, const TlsFeatureConfig& config) {
   TlsFeatureAccumulator acc(config);
@@ -138,6 +140,44 @@ TEST(TlsFeatureAccumulator, ObservationOrderIsIrrelevant) {
         for (const std::size_t k : kCadences) {
           expect_bit_identical(
               expect_cadence_matches_batch(permuted, k, config), batch);
+        }
+      }
+    }
+  }
+}
+
+TEST(TlsFeatureAccumulator, SelectedOrderStatisticsMatchSortedSummary) {
+  // The default config reads each metric's min/median/max through
+  // OrderedSample::min_med_max (merge for short tails, in-place selection
+  // for long ones); extended_stats reads them from summarize_sorted over
+  // sorted(). The batch extractor shares the first path, so the extended
+  // columns are the independent reference here: both configs, fed the
+  // same records and queried at the same cadence, must agree bit for bit.
+  Rng rng(2718);
+  const TlsFeatureConfig plain;
+  const TlsFeatureConfig extended = extended_config();
+  const std::size_t metrics = 6;
+  for (const std::size_t n : {1, 2, 16, 17, 32, 33, 100, 600}) {
+    auto log = random_log(rng, n);
+    for (int order = 0; order < 2; ++order) {
+      if (order == 1) shuffle_log(log, rng);  // out-of-order starts too
+      for (const std::size_t k : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{17}, n}) {
+        TlsFeatureAccumulator a(plain);
+        TlsFeatureAccumulator b(extended);
+        for (std::size_t i = 0; i < n; ++i) {
+          a.observe(log[i]);
+          b.observe(log[i]);
+          if ((i + 1) % k != 0 && i + 1 != n) continue;
+          const auto got = a.snapshot();
+          const auto ref = b.snapshot();
+          for (std::size_t m = 0; m < metrics; ++m) {
+            for (std::size_t j = 0; j < 3; ++j) {
+              ASSERT_EQ(got[4 + 3 * m + j], ref[4 + 5 * m + j])
+                  << "n " << n << " order " << order << " cadence " << k
+                  << " prefix " << i + 1 << " metric " << m << " stat " << j;
+            }
+          }
         }
       }
     }

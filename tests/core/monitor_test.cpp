@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/dataset_builder.hpp"
 #include "util/expect.hpp"
 
@@ -244,6 +250,131 @@ TEST(StreamingMonitor, EmitsMatchBatchPredictionAfterBurstSplit) {
   ASSERT_EQ(out.size(), 2u);
   for (const auto& s : out) {
     EXPECT_EQ(s.predicted_class, trained_estimator().predict(s.transactions));
+  }
+}
+
+/// Seeded multi-client feed, globally start-ordered. Every client plays
+/// several sessions, each opening with a burst to fresh servers and then
+/// running long enough for the monitor to fold settled records in blocks.
+/// A session follows the previous one either back to back (a burst split)
+/// or after an idle gap longer than any timeout used below.
+struct ClientRecord {
+  std::string client;
+  trace::TlsTransaction txn;
+};
+
+std::vector<ClientRecord> multi_client_feed(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<ClientRecord> feed;
+  for (int c = 0; c < 8; ++c) {
+    const std::string client = "client-" + std::to_string(c);
+    double t = 100.0 * unit(rng);
+    const int sessions = 4 + static_cast<int>(3.0 * unit(rng));
+    for (int s = 0; s < sessions; ++s) {
+      const std::string prefix =
+          client + "/s" + std::to_string(s) + "/srv";
+      const auto record = [&](double start, int server) {
+        const double dur = unit(rng) < 0.05 ? 0.0 : 30.0 * unit(rng);
+        feed.push_back({client,
+                        {.start_s = start,
+                         .end_s = start + dur,
+                         .ul_bytes = unit(rng) < 0.1 ? 0.0 : 2e4 * unit(rng),
+                         .dl_bytes = 4e6 * unit(rng) * unit(rng),
+                         .sni = prefix + std::to_string(server),
+                         .http_count = 1}});
+      };
+      for (int b = 0; b < 5; ++b) {  // opening burst, fresh servers
+        record(t, b);
+        t += 0.2 * unit(rng);
+      }
+      const int body = 10 + static_cast<int>(80.0 * unit(rng));
+      for (int i = 0; i < body; ++i) {
+        t += 0.5 + 3.5 * unit(rng);
+        record(t, static_cast<int>(8.0 * unit(rng)));
+      }
+      t += unit(rng) < 0.5 ? 1.0 + 9.0 * unit(rng)        // back to back
+                           : 150.0 + 250.0 * unit(rng);  // idle gap
+    }
+  }
+  std::stable_sort(feed.begin(), feed.end(),
+                   [](const ClientRecord& a, const ClientRecord& b) {
+                     return a.txn.start_s < b.txn.start_s;
+                   });
+  return feed;
+}
+
+TEST(StreamingMonitor, EmitsMatchBatchEstimatorAcrossProvisionalCadences) {
+  // Whatever mix of settled-block folds, in-place head completion, head
+  // re-folds after a provisional snapshot and eviction residues produced
+  // a session's accumulator, its verdict must be the batch estimator's
+  // over the emitted transactions, bit for bit, and the provisional
+  // cadence must not change which sessions are emitted.
+  const std::vector<ClientRecord> feed = multi_client_feed(2024);
+  const QoeEstimator& est = trained_estimator();
+  using Key = std::tuple<std::string, double, double, double, std::size_t,
+                         int, double>;
+  std::vector<std::vector<Key>> per_cadence;
+  for (const std::size_t every :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{17}}) {
+    SCOPED_TRACE(testing::Message() << "provisional_every " << every);
+    MonitorConfig cfg;
+    cfg.client_idle_timeout_s = 60.0;
+    cfg.provisional_every = every;
+    enum class Phase { kObserve, kAdvance, kFinish } phase = Phase::kObserve;
+    std::size_t burst_splits = 0, idle_reopens = 0, evictions = 0,
+                flushes = 0;
+    std::vector<Key> keys;
+    StreamingMonitor mon(
+        kView, est,
+        [&](const MonitoredSessionView& v) {
+          const MonitoredSession s = v.to_owned();
+          const auto proba = est.predict_proba(s.transactions);
+          EXPECT_EQ(s.predicted_class, est.predict(s.transactions));
+          EXPECT_EQ(s.confidence,
+                    proba[static_cast<std::size_t>(s.predicted_class)]);
+          keys.emplace_back(s.client, s.start_s, s.end_s, s.detected_s,
+                            s.transactions.size(), s.predicted_class,
+                            s.confidence);
+          const double last_start = s.transactions.back().start_s;
+          switch (phase) {
+            case Phase::kObserve:
+              ++(s.detected_s - last_start > cfg.client_idle_timeout_s
+                     ? idle_reopens
+                     : burst_splits);
+              break;
+            case Phase::kAdvance: ++evictions; break;
+            case Phase::kFinish: ++flushes; break;
+          }
+        },
+        cfg);
+    std::size_t provisionals = 0;
+    mon.set_provisional_callback(
+        [&](const ProvisionalEstimate&) { ++provisionals; });
+    for (std::size_t i = 0; i < feed.size(); ++i) {
+      phase = Phase::kObserve;
+      mon.observe(feed[i].client, feed[i].txn);
+      // Watermarks in alternate stretches of the feed only, so idle
+      // clients are evicted in some and reopened by their own next
+      // record in others.
+      if ((i / 400) % 2 == 0 && i % 25 == 0) {
+        phase = Phase::kAdvance;
+        mon.advance_time(feed[i].txn.start_s);
+      }
+    }
+    phase = Phase::kFinish;
+    mon.finish();
+
+    EXPECT_GT(burst_splits, 0u);
+    EXPECT_GT(idle_reopens, 0u);
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(flushes, 0u);
+    EXPECT_EQ(provisionals > 0, every > 0);
+    std::sort(keys.begin(), keys.end());
+    per_cadence.push_back(std::move(keys));
+  }
+  for (std::size_t i = 1; i < per_cadence.size(); ++i) {
+    EXPECT_EQ(per_cadence[i], per_cadence[0]) << "cadence #" << i;
   }
 }
 

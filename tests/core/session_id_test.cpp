@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -194,6 +195,7 @@ void run_incremental_vs_rescan(const SessionIdParams& params,
   double now = 0.0;
   std::uint32_t next_fresh_sni = 100;  // never overlaps the familiar pool
   std::size_t cuts = 0;
+  std::size_t max_settled = 0;  // largest settled() since the last cut
   int burst_left = 0;
   bool burst_fresh = false;
 
@@ -223,11 +225,28 @@ void run_incremental_vs_rescan(const SessionIdParams& params,
     ASSERT_EQ(got, expect)
         << "diverged at record " << n << " (window " << window.size()
         << ", seed " << seed << ")";
+    // Settled-prefix contract: settled() stays inside the window, claims
+    // only positions whose W-second look-ahead has closed, and no cut
+    // ever falls below a prefix it called settled.
+    const std::size_t settled = scan.settled();
+    ASSERT_LE(settled, window.size()) << "record " << n << ", seed " << seed;
+    if (settled > 0) {
+      ASSERT_GT(window.back().start_s - window[settled - 1].start_s,
+                params.window_s)
+          << "settled() claims an open position at record " << n
+          << ", seed " << seed;
+    }
+    max_settled = std::max(max_settled, settled);
     if (got != 0) {
+      ASSERT_GE(got, max_settled)
+          << "cut below the settled prefix at record " << n << ", seed "
+          << seed;
       ++cuts;
       window.erase(window.begin(),
                    window.begin() + static_cast<std::ptrdiff_t>(got));
       scan.rebuild(window, params);
+      ASSERT_EQ(scan.settled(), 0u) << "record " << n << ", seed " << seed;
+      max_settled = 0;
     }
   }
   // The generator must actually have produced splits, or the test is

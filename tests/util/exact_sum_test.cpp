@@ -3,7 +3,7 @@
 // insertion order. The feature accumulator's bit-identity contract rests
 // on both, so they get direct coverage here — including the paths a
 // realistic feed never exercises (inline-buffer overflow into the heap
-// spill, interleaved erase_one/query/insert).
+// spill, interleaved erase_one/query/insert, erase after a selection).
 #include "util/exact_sum.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "util/expect.hpp"
 #include "util/ordered_sample.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace droppkt::util {
 namespace {
@@ -158,6 +159,52 @@ TEST(OrderedSample, QueriesInterleaveWithInsertsAndErases) {
   EXPECT_THROW(s.erase_one(9.0), droppkt::ContractViolation);
   s.clear();
   EXPECT_TRUE(s.empty());
+}
+
+TEST(OrderedSample, SelectionQueryKeepsTheSortedMultiset) {
+  Rng rng(31);
+  // Alternate min_med_max() queries, sorted() views and erase_one() at
+  // every cadence: tails longer than the merge buffer take the selection
+  // path, which leaves the storage unsorted, so the next sorted() or
+  // erase_one() must still see the sorted multiset, and every query must
+  // read what the sorted view reads (percentile_sorted's median).
+  for (std::size_t k : {1, 4, 16, 17, 40, 200}) {
+    std::vector<double> inserted;
+    OrderedSample sample;
+    for (std::size_t i = 0; i < 400; ++i) {
+      const double v = rng.uniform01() < 0.5
+                           ? static_cast<double>(rng.uniform_int(-5, 5))
+                           : rng.uniform(-5.0, 5.0);
+      sample.insert(v);
+      inserted.push_back(v);
+      if ((i + 1) % k != 0) continue;
+      std::vector<double> want = inserted;
+      std::sort(want.begin(), want.end());
+      const MinMedMax got = sample.min_med_max();
+      ASSERT_EQ(got.min, want.front()) << "k " << k << " size " << i + 1;
+      ASSERT_EQ(got.median, percentile_sorted(want, 50.0))
+          << "k " << k << " size " << i + 1;
+      ASSERT_EQ(got.max, want.back()) << "k " << k << " size " << i + 1;
+      if (i % 3 == 0) {
+        // Erase right after the query: erase_one sorts what selection
+        // left unsorted.
+        const double gone = inserted[i / 2];
+        sample.erase_one(gone);
+        inserted.erase(std::find(inserted.begin(), inserted.end(), gone));
+        want = inserted;
+        std::sort(want.begin(), want.end());
+      }
+      const auto view = sample.sorted();
+      ASSERT_TRUE(std::equal(view.begin(), view.end(), want.begin(),
+                             want.end()))
+          << "k " << k << " size " << i + 1;
+    }
+  }
+  const OrderedSample empty;
+  const MinMedMax zeros = empty.min_med_max();
+  EXPECT_EQ(zeros.min, 0.0);
+  EXPECT_EQ(zeros.median, 0.0);
+  EXPECT_EQ(zeros.max, 0.0);
 }
 
 TEST(OrderedSample, DuplicateValuesKeepMultiplicity) {

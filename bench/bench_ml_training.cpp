@@ -1,6 +1,5 @@
 // ML training engine benchmark: thread-pool forest fitting (exact and
-// histogram split search), the legacy per-node re-sort baseline, and
-// compiled flat-forest batch inference.
+// histogram split search) and compiled flat-forest batch inference.
 //
 // Not a paper figure: every accuracy/ablation result in EXPERIMENTS.md
 // retrains Random Forests dozens of times, so fit throughput bounds how
@@ -8,10 +7,7 @@
 // trajectory: it times forest fitting on the standard synthetic dataset
 // at 1/2/4/8 threads for both split methods with a per-phase timing
 // breakdown (bootstrap draw / column build / tree training / OOB merge),
-// times the legacy algorithm (re-sorting (value, label) pairs at every
-// node, exactly what src/ml/decision_tree.cpp did before the presorted
-// column-index structure) as the single-thread baseline, and measures
-// batch-prediction throughput of the tree-walk forest against
+// and measures batch-prediction throughput of the tree-walk forest against
 // ml::CompiledForest, plus CompiledForest's single-row throughput (the
 // path streaming estimates take).
 //
@@ -29,9 +25,9 @@
 // hosts and a warning on 1-core containers (there is nothing to win).
 //
 // Thread speedup requires physical cores — on a 1-core container the
-// curve is flat and only the algorithmic speedups (presorted vs re-sort,
-// histogram vs exact, compiled vs tree-walk) show. `hardware_concurrency`
-// is recorded in BENCH_ml.json so readers can interpret the numbers.
+// curve is flat and only the algorithmic speedups (histogram vs exact,
+// compiled vs tree-walk) show. `hardware_concurrency` is recorded in
+// BENCH_ml.json so readers can interpret the numbers.
 //
 // Usage:
 //   bench_ml_training          full run, writes BENCH_ml.json to the cwd
@@ -45,7 +41,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -100,150 +95,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// ---------------------------------------------------------------------------
-// Legacy baseline: the pre-PR-2 split search. Every node re-collects and
-// re-sorts (value, label) pairs per candidate feature — O(F·W log W) per
-// node. Kept here (not in the library) purely as the bench's reference
-// workload; bootstrap/seed draws mirror RandomForest::fit so the forests
-// are structurally comparable.
-namespace legacy {
-
-struct Node {
-  int feature = -1;
-  double threshold = 0.0;
-  std::int32_t left = -1;
-  std::int32_t right = -1;
-};
-
-struct Tree {
-  std::vector<Node> nodes;
-  std::size_t max_features = 0;
-  int max_depth = 24;
-
-  std::int32_t build(const Dataset& data, std::vector<std::size_t>& indices,
-                     int depth, Rng& rng) {
-    std::vector<double> counts(static_cast<std::size_t>(data.num_classes()), 0.0);
-    for (std::size_t i : indices) {
-      counts[static_cast<std::size_t>(data.label(i))] += 1.0;
-    }
-    const double total = static_cast<double>(indices.size());
-    double sum_sq = 0.0;
-    for (double c : counts) sum_sq += (c / total) * (c / total);
-    const double node_gini = 1.0 - sum_sq;
-
-    auto make_leaf = [&]() -> std::int32_t {
-      nodes.push_back(Node{});
-      return static_cast<std::int32_t>(nodes.size() - 1);
-    };
-    if (node_gini <= 1e-12 || depth >= max_depth || indices.size() < 2) {
-      return make_leaf();
-    }
-
-    std::vector<std::size_t> features;
-    const auto perm = rng.permutation(data.num_features());
-    features.assign(perm.begin(),
-                    perm.begin() + static_cast<std::ptrdiff_t>(max_features));
-
-    struct Best {
-      double impurity = 1e18;
-      int feature = -1;
-      double threshold = 0.0;
-    } best;
-    std::vector<std::pair<double, int>> sorted;
-    sorted.reserve(indices.size());
-    std::vector<double> left_counts(counts.size());
-
-    for (std::size_t f : features) {
-      sorted.clear();
-      for (std::size_t i : indices) {
-        sorted.emplace_back(data.row(i)[f], data.label(i));
-      }
-      std::sort(sorted.begin(), sorted.end());
-      if (sorted.front().first == sorted.back().first) continue;
-      std::fill(left_counts.begin(), left_counts.end(), 0.0);
-      double w_left = 0.0;
-      const std::size_t n = sorted.size();
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        left_counts[static_cast<std::size_t>(sorted[i].second)] += 1.0;
-        w_left += 1.0;
-        if (sorted[i].first == sorted[i + 1].first) continue;
-        const double w_right = total - w_left;
-        if (w_right <= 0.0) continue;
-        double lg = 0.0, rg = 0.0;
-        for (std::size_t c = 0; c < left_counts.size(); ++c) {
-          const double pl = left_counts[c] / w_left;
-          lg += pl * pl;
-          const double pr = (counts[c] - left_counts[c]) / w_right;
-          rg += pr * pr;
-        }
-        const double weighted =
-            (w_left * (1.0 - lg) + w_right * (1.0 - rg)) / total;
-        if (weighted < best.impurity) {
-          best.impurity = weighted;
-          best.feature = static_cast<int>(f);
-          double thr = 0.5 * (sorted[i].first + sorted[i + 1].first);
-          if (!(thr >= sorted[i].first && thr < sorted[i + 1].first)) {
-            thr = sorted[i].first;
-          }
-          best.threshold = thr;
-        }
-      }
-    }
-
-    if (best.feature < 0 || best.impurity >= node_gini - 1e-12) {
-      return make_leaf();
-    }
-    std::vector<std::size_t> left_idx, right_idx;
-    for (std::size_t i : indices) {
-      if (data.row(i)[static_cast<std::size_t>(best.feature)] <=
-          best.threshold) {
-        left_idx.push_back(i);
-      } else {
-        right_idx.push_back(i);
-      }
-    }
-    indices.clear();
-    indices.shrink_to_fit();
-    Node node;
-    node.feature = best.feature;
-    node.threshold = best.threshold;
-    nodes.push_back(node);
-    const auto me = static_cast<std::int32_t>(nodes.size() - 1);
-    const std::int32_t l = build(data, left_idx, depth + 1, rng);
-    const std::int32_t r = build(data, right_idx, depth + 1, rng);
-    nodes[static_cast<std::size_t>(me)].left = l;
-    nodes[static_cast<std::size_t>(me)].right = r;
-    return me;
-  }
-};
-
-/// Sequential forest fit with the legacy split search; returns total node
-/// count (consumed so the work is not optimized away).
-std::size_t fit_forest(const Dataset& data, std::size_t num_trees,
-                       std::uint64_t seed) {
-  const std::size_t n = data.size();
-  const auto mtry = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::floor(std::sqrt(static_cast<double>(data.num_features())))));
-  Rng rng(seed);
-  std::size_t total_nodes = 0;
-  for (std::size_t t = 0; t < num_trees; ++t) {
-    std::vector<std::size_t> sample(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sample[i] = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    }
-    Tree tree;
-    tree.max_features = mtry;
-    Rng tree_rng(rng());
-    tree.build(data, sample, 0, tree_rng);
-    total_nodes += tree.nodes.size();
-  }
-  return total_nodes;
-}
-
-}  // namespace legacy
-
 struct FitRun {
   std::size_t threads = 0;
   double seconds = 0.0;
@@ -270,8 +121,7 @@ struct CurveResult {
 CurveResult run_fit_curve(const Dataset& train,
                           droppkt::ml::RandomForestParams params,
                           const std::vector<std::size_t>& thread_counts,
-                          const char* label, double baseline_s,
-                          const char* baseline_name) {
+                          const char* label) {
   params.collect_timing = true;  // stats-only; the model is unaffected
   CurveResult out;
   std::string model_first;
@@ -306,14 +156,13 @@ CurveResult run_fit_curve(const Dataset& train,
       out.deterministic = false;
     }
     std::printf(
-        "%s fit (%zu thread%s): %7.2f s  (%4.2fx vs 1t, %4.2fx vs %s)\n"
+        "%s fit (%zu thread%s): %7.2f s  (%4.2fx vs 1t)\n"
         "    phases: bootstrap %.3fs | columns %.3fs | trees %.3fs "
         "(sum %.3fs, max tree %.3fs) | oob %.3fs\n",
         label, threads, threads == 1 ? " " : "s", run.seconds,
-        out.runs.front().seconds / run.seconds, baseline_s / run.seconds,
-        baseline_name, run.bootstrap_draw_s, run.column_build_s,
-        run.trees_wall_s, run.tree_seconds_sum, run.tree_seconds_max,
-        run.oob_merge_s);
+        out.runs.front().seconds / run.seconds, run.bootstrap_draw_s,
+        run.column_build_s, run.trees_wall_s, run.tree_seconds_sum,
+        run.tree_seconds_max, run.oob_merge_s);
   }
   std::printf("%s bit-identical across thread counts: %s\n\n", label,
               out.deterministic ? "yes" : "NO — BUG");
@@ -330,15 +179,19 @@ double holdout_accuracy(const droppkt::ml::RandomForest& rf,
   return static_cast<double>(hits) / static_cast<double>(test.size());
 }
 
+/// One JSON row per fit; `exact_1t_s` > 0 adds each row's speedup over the
+/// exact search at 1 thread.
 void write_fit_runs_json(std::ofstream& json, const std::vector<FitRun>& runs,
-                         double baseline_s, const char* baseline_key) {
+                         double exact_1t_s = 0.0) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
     json << "    {\"threads\": " << r.threads
          << ", \"seconds\": " << r.seconds
-         << ", \"speedup_vs_1t\": " << runs.front().seconds / r.seconds
-         << ", \"" << baseline_key << "\": " << baseline_s / r.seconds
-         << ",\n     \"phases\": {\"bootstrap_draw_s\": " << r.bootstrap_draw_s
+         << ", \"speedup_vs_1t\": " << runs.front().seconds / r.seconds;
+    if (exact_1t_s > 0.0) {
+      json << ", \"speedup_vs_exact_1t\": " << exact_1t_s / r.seconds;
+    }
+    json << ",\n     \"phases\": {\"bootstrap_draw_s\": " << r.bootstrap_draw_s
          << ", \"column_build_s\": " << r.column_build_s
          << ", \"trees_wall_s\": " << r.trees_wall_s
          << ", \"oob_merge_s\": " << r.oob_merge_s
@@ -378,24 +231,19 @@ int main(int argc, char** argv) {
               train.size(), train.num_features(), train.num_classes(),
               num_trees);
 
-  // Legacy single-thread baseline: per-node re-sort split search.
-  const auto t_legacy = std::chrono::steady_clock::now();
-  const std::size_t legacy_nodes = legacy::fit_forest(train, num_trees, 42);
-  const double legacy_s = seconds_since(t_legacy);
-  std::printf("legacy re-sort fit (1 thread): %7.2f s  (%zu nodes)\n\n",
-              legacy_s, legacy_nodes);
-
   // Exact presorted search, then histogram search, each across the thread
   // curve with determinism checks and the per-phase breakdown.
   ml::RandomForestParams params;
   params.num_trees = num_trees;
   params.seed = 42;
-  const CurveResult exact = run_fit_curve(train, params, thread_counts,
-                                          "presorted", legacy_s, "legacy");
+  const CurveResult exact =
+      run_fit_curve(train, params, thread_counts, "presorted");
   params.split_method = ml::SplitMethod::kHistogram;
   const CurveResult hist =
-      run_fit_curve(train, params, thread_counts, "histogram",
-                    exact.runs.front().seconds, "exact-1t");
+      run_fit_curve(train, params, thread_counts, "histogram");
+  const double exact_1t_s = exact.runs.front().seconds;
+  std::printf("histogram vs presorted at 1 thread: %.2fx\n\n",
+              exact_1t_s / hist.runs.front().seconds);
 
   // Accuracy gate: binned splits may trade only marginal holdout accuracy
   // for their speed.
@@ -524,15 +372,13 @@ int main(int argc, char** argv) {
          << ", \"classes\": " << train.num_classes() << "},\n";
     json << "  \"forest\": {\"num_trees\": " << num_trees
          << ", \"max_depth\": " << params.max_depth << "},\n";
-    json << "  \"legacy_resort_fit_seconds\": " << legacy_s << ",\n";
     json << "  \"fit_runs\": [\n";
-    write_fit_runs_json(json, exact.runs, legacy_s, "speedup_vs_legacy");
+    write_fit_runs_json(json, exact.runs);
     json << "  ],\n";
     json << "  \"deterministic_across_threads\": "
          << (exact.deterministic ? "true" : "false") << ",\n";
     json << "  \"histogram_fit_runs\": [\n";
-    write_fit_runs_json(json, hist.runs, exact.runs.front().seconds,
-                        "speedup_vs_exact_1t");
+    write_fit_runs_json(json, hist.runs, exact_1t_s);
     json << "  ],\n";
     json << "  \"histogram_deterministic_across_threads\": "
          << (hist.deterministic ? "true" : "false") << ",\n";

@@ -1,6 +1,5 @@
 #include "core/session_id.hpp"
 
-#include <algorithm>
 #include <set>
 #include <string>
 
@@ -52,54 +51,6 @@ std::vector<bool> detect_session_starts(const trace::TlsLog& merged,
     session_servers.insert(merged[i].sni);
   }
   return is_start;
-}
-
-void detect_session_starts_into(std::span<const TlsRecord> merged,
-                                const SessionIdParams& params,
-                                SessionStartScratch& scratch) {
-  DROPPKT_EXPECT(params.window_s > 0.0, "SessionIdParams: W must be > 0");
-  DROPPKT_EXPECT(params.delta_min >= 0.0 && params.delta_min <= 1.0,
-                 "SessionIdParams: delta_min must be in [0,1]");
-
-  scratch.is_start.assign(merged.size(), 0);
-  scratch.servers.clear();
-  if (merged.empty()) return;
-
-  // Same loop as detect_session_starts; the session-server set is a small
-  // vector of distinct refs scanned linearly (sessions talk to a handful
-  // of servers, so a linear probe beats a node-based set and allocates
-  // nothing). Sortedness is the caller's documented precondition — the
-  // per-record hot path only debug-checks it.
-  auto& servers = scratch.servers;
-  const auto seen = [&servers](std::uint32_t ref) {
-    return std::find(servers.begin(), servers.end(), ref) != servers.end();
-  };
-  double last_start_s = -1e18;  // refractory anchor
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    DROPPKT_ASSERT(i == 0 || merged[i].start_s >= merged[i - 1].start_s,
-                   "detect_session_starts_into: log must be sorted by start");
-    bool starts_new = (i == 0);
-    const bool in_refractory =
-        merged[i].start_s - last_start_s <= params.window_s;
-    if (!starts_new && !in_refractory) {
-      std::size_t n = 0;
-      std::size_t fresh = 0;
-      for (std::size_t j = i + 1; j < merged.size(); ++j) {
-        if (merged[j].start_s - merged[i].start_s > params.window_s) break;
-        ++n;
-        if (!seen(merged[j].sni_ref)) ++fresh;
-      }
-      const double delta =
-          n > 0 ? static_cast<double>(fresh) / static_cast<double>(n) : 0.0;
-      starts_new = n > params.n_min && delta > params.delta_min;
-    }
-    if (starts_new) {
-      scratch.is_start[i] = 1;
-      servers.clear();
-      last_start_s = merged[i].start_s;
-    }
-    if (!seen(merged[i].sni_ref)) servers.push_back(merged[i].sni_ref);
-  }
 }
 
 void IncrementalBoundaryScan::reset() {

@@ -37,30 +37,10 @@ std::vector<bool> detect_session_starts(const trace::TlsLog& merged,
 std::vector<trace::TlsLog> split_sessions(const trace::TlsLog& merged,
                                           const SessionIdParams& params = {});
 
-/// Reused working memory for detect_session_starts_into — hold one per
-/// caller (the streaming monitor keeps one) so the per-record hot path
-/// allocates nothing in steady state.
-struct SessionStartScratch {
-  /// Output: is_start[i] != 0 iff merged[i] begins a new session.
-  std::vector<char> is_start;
-  /// Distinct SNI refs seen in the current session (small; linear scan).
-  std::vector<std::uint32_t> servers;
-};
-
-/// The same heuristic over interned POD records: identical boundaries to
-/// detect_session_starts for the equivalent transaction log, with the
-/// fresh-server test comparing 4-byte SNI refs instead of strings (ref
-/// equality == string equality within one util::StringPool). Writes into
-/// scratch.is_start; no allocation once the scratch has grown to the
-/// caller's window high-water mark.
-void detect_session_starts_into(std::span<const TlsRecord> merged,
-                                const SessionIdParams& params,
-                                SessionStartScratch& scratch);
-
 /// Incremental form of the boundary heuristic for the streaming hot path.
 ///
-/// Re-running detect_session_starts_into over a client's whole pending
-/// window on every arrival costs O(window x burst) per record; this class
+/// Re-running detect_session_starts over a client's whole pending window
+/// on every arrival costs O(window x burst) per record; this class
 /// maintains the per-position burst counters (N_i and the fresh count
 /// F_i) across arrivals instead, so each record costs O(records within W
 /// of it). The counters are pure functions of the window content — N_i
@@ -74,9 +54,11 @@ void detect_session_starts_into(std::span<const TlsRecord> merged,
 /// AFTER appending each record; if it returns k > 0, records [0, k) are a
 /// completed session — cut them and call rebuild() with the surviving
 /// suffix. Byte-identical split decisions to running
-/// detect_session_starts_into per arrival and cutting at the first start.
-/// Between cuts, settled() tells which prefix of the window is already
-/// certain to stay in the current session.
+/// detect_session_starts per arrival over the equivalent transaction log
+/// and cutting at the first start; the reference oracle test
+/// (reference_oracle_test.cpp) holds the whole streaming stack to exactly
+/// that. Between cuts, settled() tells which prefix of the window is
+/// already certain to stay in the current session.
 class IncrementalBoundaryScan {
  public:
   /// Forget everything (the window was emptied).

@@ -169,13 +169,24 @@ TEST(SessionId, TimeoutHeuristicWouldFail) {
 // cutting at the first detected start — over adversarial random windows.
 // ---------------------------------------------------------------------------
 
-/// Reference decision: full rescan of the window, cut at the first start.
+/// Reference decision: the batch heuristic over the equivalent
+/// transaction log (SNI ref n becomes hostname "n", so ref equality is
+/// string equality), cut at the first start.
 std::size_t rescan_first_start(std::span<const TlsRecord> window,
-                               const SessionIdParams& params,
-                               SessionStartScratch& scratch) {
-  detect_session_starts_into(window, params, scratch);
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    if (scratch.is_start[i] != 0) return i;
+                               const SessionIdParams& params) {
+  trace::TlsLog log;
+  log.reserve(window.size());
+  for (const TlsRecord& r : window) {
+    log.push_back({.start_s = r.start_s,
+                   .end_s = r.end_s,
+                   .ul_bytes = r.ul_bytes,
+                   .dl_bytes = r.dl_bytes,
+                   .sni = std::to_string(r.sni_ref),
+                   .http_count = r.http_count});
+  }
+  const std::vector<bool> starts = detect_session_starts(log, params);
+  for (std::size_t i = 1; i < starts.size(); ++i) {
+    if (starts[i]) return i;
   }
   return 0;
 }
@@ -191,7 +202,6 @@ void run_incremental_vs_rescan(const SessionIdParams& params,
 
   std::vector<TlsRecord> window;
   IncrementalBoundaryScan scan;
-  SessionStartScratch scratch;
   double now = 0.0;
   std::uint32_t next_fresh_sni = 100;  // never overlaps the familiar pool
   std::size_t cuts = 0;
@@ -220,7 +230,7 @@ void run_incremental_vs_rescan(const SessionIdParams& params,
                                .dl_bytes = 1000.0,
                                .sni_ref = sni,
                                .http_count = 1});
-    const std::size_t expect = rescan_first_start(window, params, scratch);
+    const std::size_t expect = rescan_first_start(window, params);
     const std::size_t got = scan.on_append(window, params);
     ASSERT_EQ(got, expect)
         << "diverged at record " << n << " (window " << window.size()
@@ -277,7 +287,6 @@ TEST(IncrementalBoundaryScan, ResetForgetsWindowState) {
   std::mt19937 rng(77);
   std::vector<TlsRecord> window;
   IncrementalBoundaryScan scan;
-  SessionStartScratch scratch;
   double now = 0.0;
   for (int i = 0; i < 50; ++i) {
     now += 1.0;
@@ -295,7 +304,7 @@ TEST(IncrementalBoundaryScan, ResetForgetsWindowState) {
                                .ul_bytes = 1.0, .dl_bytes = 1.0,
                                .sni_ref = static_cast<std::uint32_t>(i % 3),
                                .http_count = 1});
-    const std::size_t expect = rescan_first_start(window, params, scratch);
+    const std::size_t expect = rescan_first_start(window, params);
     ASSERT_EQ(scan.on_append(window, params), expect) << "record " << i;
   }
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -44,6 +45,37 @@ inline void print_header(const std::string& title, const std::string& paper_ref)
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("==============================================================\n\n");
 }
+
+/// The paper's relative claims a bench reproduces, as a gate. Each
+/// predicate is evaluated from unrounded values and printed as one line
+/// — `claim <id>: <measured values>: holds|BROKEN` — and exit_code() is 1
+/// once any predicate broke. The `paper` ctest label runs these benches.
+class Claims {
+ public:
+  /// Record one predicate; `fmt` formats the measured values it read.
+  [[gnu::format(printf, 4, 5)]] void check(const char* id, bool holds,
+                                           const char* fmt, ...) {
+    char values[512];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(values, sizeof(values), fmt, args);
+    va_end(args);
+    if (lines_ == 0) std::printf("\npaper claims:\n");
+    ++lines_;
+    std::printf("  claim %s: %s: %s\n", id, values,
+                holds ? "holds" : "BROKEN");
+    broken_ += holds ? 0 : 1;
+  }
+
+  int exit_code() const {
+    std::printf("paper claims: %d of %d hold\n", lines_ - broken_, lines_);
+    return broken_ == 0 ? 0 : 1;
+  }
+
+ private:
+  int lines_ = 0;
+  int broken_ = 0;
+};
 
 inline std::string pct0(double fraction) {
   char buf[16];

@@ -12,11 +12,13 @@ int main() {
                       "Fig. 6a/6b/6c");
 
   std::map<std::string, std::set<std::string>> top10_by_service;
+  std::vector<std::pair<std::string, double>> top1_by_service;
   for (const char* svc : {"Svc1", "Svc2", "Svc3"}) {
     const auto& ds = bench::dataset_for(svc);
     core::QoeEstimator est;
     est.train(ds);
     const auto imp = est.feature_importances();
+    top1_by_service.push_back(imp.front());
 
     std::printf("%s:\n", svc);
     std::vector<std::pair<std::string, double>> top;
@@ -47,5 +49,19 @@ int main() {
               "SDR_DL, TDR_MED, D2U_MED, CUM_DL_60s)\n", common);
   std::printf("  -> %d features appear in only one service (paper: 8) - "
               "service designs differ\n", unique);
-  return 0;
+
+  // Volume features rank first: every service's top feature is a
+  // cumulative-download counter or the session download rate.
+  bench::Claims claims;
+  bool volume_first = true;
+  for (const auto& top : top1_by_service) {
+    volume_first = volume_first && (top.first.starts_with("CUM_DL_") ||
+                                    top.first == "SDR_DL");
+  }
+  claims.check("fig6.volume_feature_ranks_first", volume_first,
+               "top feature Svc1 %s %.4f, Svc2 %s %.4f, Svc3 %s %.4f",
+               top1_by_service[0].first.c_str(), top1_by_service[0].second,
+               top1_by_service[1].first.c_str(), top1_by_service[1].second,
+               top1_by_service[2].first.c_str(), top1_by_service[2].second);
+  return claims.exit_code();
 }

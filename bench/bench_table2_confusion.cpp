@@ -21,17 +21,22 @@ int main() {
               "neighboring classes; medium is hardest; low and high are\n"
               "classified with high accuracy.\n");
 
-  // Machine-checkable shape assertions (reported, not enforced).
   const auto& cm = cv.pooled;
   auto frac = [&](int a, int p) {
     return static_cast<double>(cm.count(a, p)) /
-           std::max<std::size_t>(1, cm.actual_total(a));
+           static_cast<double>(std::max<std::size_t>(1, cm.actual_total(a)));
   };
-  std::printf("\nshape check:\n");
-  std::printf("  low->high leakage  %.1f%% (paper 8%%)  %s\n",
-              100.0 * frac(0, 2), frac(0, 2) < 0.15 ? "OK" : "DIVERGES");
-  std::printf("  med is worst class %s\n",
-              (cm.recall(1) <= cm.recall(0) && cm.recall(1) <= cm.recall(2))
-                  ? "OK" : "DIVERGES");
-  return 0;
+  bench::Claims claims;
+  claims.check("table2.medium_lowest_diagonal",
+               frac(1, 1) < frac(0, 0) && frac(1, 1) < frac(2, 2),
+               "diagonal low %.4f, med %.4f, high %.4f", frac(0, 0),
+               frac(1, 1), frac(2, 2));
+  claims.check("table2.errors_between_neighbors",
+               frac(0, 2) < frac(0, 1) && frac(2, 0) < frac(2, 1),
+               "low->high %.4f < low->med %.4f, high->low %.4f < "
+               "high->med %.4f",
+               frac(0, 2), frac(0, 1), frac(2, 0), frac(2, 1));
+  claims.check("table2.low_high_below_paper", frac(0, 2) < 0.08,
+               "low->high %.4f (paper 0.08)", frac(0, 2));
+  return claims.exit_code();
 }

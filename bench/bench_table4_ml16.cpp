@@ -19,6 +19,9 @@ int main() {
 
   util::TextTable table({"service", "TLS A", "TLS R", "TLS P", "ML16 A",
                          "ML16 R", "ML16 P", "gain A", "gain R", "gain P"});
+  double tls_accuracy[3] = {};
+  double ml16_accuracy[3] = {};
+  int v = 0;
   for (const char* svc : {"Svc1", "Svc2", "Svc3"}) {
     const auto& ds = bench::dataset_for(svc);
     const auto tls =
@@ -26,6 +29,8 @@ int main() {
     const auto pkt_data = core::make_ml16_dataset(ds, core::QoeTarget::kCombined);
     const auto pkt = core::scores_from(
         ml::cross_validate(pkt_data, core::forest_factory(), 5, 42 ^ 0xcafeULL));
+    tls_accuracy[v] = tls.accuracy;
+    ml16_accuracy[v++] = pkt.accuracy;
     auto gain = [](double a, double b) {
       char buf[16];
       std::snprintf(buf, sizeof(buf), "%+.0f%%", 100.0 * (a - b));
@@ -88,5 +93,23 @@ int main() {
               "orders of magnitude more memory and compute - motivating\n"
               "adaptive monitoring (fine-grained data only where TLS-based\n"
               "detection flags problems).\n");
-  return 0;
+
+  bench::Claims claims;
+  double gain[3];
+  for (int i = 0; i < 3; ++i) gain[i] = ml16_accuracy[i] - tls_accuracy[i];
+  claims.check("table4.ml16_beats_tls_most_on_svc2",
+               gain[0] > 0.0 && gain[1] > 0.0 && gain[2] > 0.0 &&
+                   gain[1] > gain[0] && gain[1] > gain[2],
+               "ML16 - TLS accuracy Svc1 %+.4f (%.4f vs %.4f), Svc2 %+.4f "
+               "(%.4f vs %.4f), Svc3 %+.4f (%.4f vs %.4f)",
+               gain[0], ml16_accuracy[0], tls_accuracy[0], gain[1],
+               ml16_accuracy[1], tls_accuracy[1], gain[2], ml16_accuracy[2],
+               tls_accuracy[2]);
+  claims.check("table4.packets_per_tls_record_100x", packets >= 100.0 * tls_n,
+               "%.1fx (%.0f packets vs %.1f TLS records per session)",
+               packets / tls_n, packets / static_cast<double>(ds.size()),
+               tls_n / static_cast<double>(ds.size()));
+  claims.check("table4.packet_extraction_10x", pkt_ms >= 10.0 * tls_ms,
+               "%.1fx (%.1f ms vs %.2f ms)", pkt_ms / tls_ms, pkt_ms, tls_ms);
+  return claims.exit_code();
 }

@@ -83,68 +83,52 @@ Dataset Dataset::select_features(const std::vector<std::string>& names) const {
 }
 
 ColumnMatrix::ColumnMatrix(const Dataset& data)
-    : num_rows_(data.size()), num_features_(data.num_features()) {
-  data_.resize(num_rows_ * num_features_);
-  for (std::size_t i = 0; i < num_rows_; ++i) {
-    const auto r = data.row(i);
-    for (std::size_t f = 0; f < num_features_; ++f) {
-      data_[f * num_rows_ + i] = r[f];
-    }
-  }
-
-  sorted_rows_.resize(num_rows_ * num_features_);
-  sorted_vals_.resize(num_rows_ * num_features_);
+    : num_rows_(data.size()),
+      num_features_(data.num_features()),
+      binned_(num_rows_ * num_features_, 0),
+      bin_count_(num_features_, 0),
+      bin_thresholds_(num_features_ * kMaxBins,
+                      std::numeric_limits<double>::infinity()) {
+  // One feature at a time: gather its column, sort its rows by (value,
+  // row), then walk the sorted values.
+  std::vector<double> col(num_rows_);
+  std::vector<std::uint32_t> rows(num_rows_);
   for (std::size_t f = 0; f < num_features_; ++f) {
-    const double* col = data_.data() + f * num_rows_;
-    std::uint32_t* rows = sorted_rows_.data() + f * num_rows_;
-    double* vals = sorted_vals_.data() + f * num_rows_;
-    std::iota(rows, rows + num_rows_, std::uint32_t{0});
-    std::sort(rows, rows + num_rows_, [col](std::uint32_t a, std::uint32_t b) {
-      return col[a] != col[b] ? col[a] < col[b] : a < b;
-    });
-    for (std::size_t i = 0; i < num_rows_; ++i) vals[i] = col[rows[i]];
-  }
-}
-
-void ColumnMatrix::build_bins(std::size_t max_bins) {
-  DROPPKT_EXPECT(max_bins >= 2 && max_bins <= kMaxBins,
-                 "ColumnMatrix::build_bins: max_bins must be in [2, 256]");
-  DROPPKT_EXPECT(num_rows_ >= 1, "ColumnMatrix::build_bins: empty matrix");
-  binned_.assign(num_rows_ * num_features_, 0);
-  bin_count_.assign(num_features_, 0);
-  bin_thresholds_.assign(num_features_ * kMaxBins,
-                         std::numeric_limits<double>::infinity());
-
-  for (std::size_t f = 0; f < num_features_; ++f) {
-    const double* vals = sorted_vals_.data() + f * num_rows_;
-    const std::uint32_t* rows = sorted_rows_.data() + f * num_rows_;
+    for (std::size_t i = 0; i < num_rows_; ++i) col[i] = data.row(i)[f];
+    std::iota(rows.begin(), rows.end(), std::uint32_t{0});
+    std::sort(rows.begin(), rows.end(),
+              [&col](std::uint32_t a, std::uint32_t b) {
+                return col[a] != col[b] ? col[a] < col[b] : a < b;
+              });
     std::uint8_t* bins = binned_.data() + f * num_rows_;
     double* thresholds = bin_thresholds_.data() + f * kMaxBins;
 
-    // Walk the sorted column, closing a bin at the first distinct-value
-    // boundary at or past each equal-frequency target. Integer targets
-    // (cum * max_bins >= (made + 1) * N) keep the cuts exact and
-    // deterministic; a feature with <= max_bins distinct values gets one
-    // bin per value.
+    // Close a bin at the first distinct-value boundary at or past each
+    // equal-frequency target. Integer targets (cum * kMaxBins >=
+    // (made + 1) * N) keep the cuts exact and deterministic; a feature
+    // with <= kMaxBins distinct values gets one bin per value.
     std::size_t bin = 0;
     std::size_t i = 0;
     while (i < num_rows_) {
       // Group of equal values [i, j).
+      const double v = col[rows[i]];
       std::size_t j = i + 1;
-      while (j < num_rows_ && vals[j] == vals[i]) ++j;
+      while (j < num_rows_ && col[rows[j]] == v) ++j;
       for (std::size_t k = i; k < j; ++k) {
         bins[rows[k]] = static_cast<std::uint8_t>(bin);
       }
       const bool last_group = j == num_rows_;
       // Close this bin once the equal-frequency quota is met (and a bin
       // remains to open); otherwise later groups keep joining it.
-      const bool quota = j * max_bins >= (bin + 1) * num_rows_;
-      if (!last_group && quota && bin + 1 < max_bins) {
-        // Boundary between vals[j-1] and vals[j]: midpoint, with the
-        // same collapse guard as the exact split search (adjacent
-        // doubles can round onto the upper value).
-        double thr = 0.5 * (vals[j - 1] + vals[j]);
-        if (!(thr >= vals[j - 1] && thr < vals[j])) thr = vals[j - 1];
+      const bool quota = j * kMaxBins >= (bin + 1) * num_rows_;
+      if (!last_group && quota && bin + 1 < kMaxBins) {
+        // Boundary between the group's last value and the next one:
+        // midpoint, unless rounding collapses it onto the upper value
+        // (adjacent doubles) — then split exactly at the lower value.
+        const double lo = col[rows[j - 1]];
+        const double hi = col[rows[j]];
+        double thr = 0.5 * (lo + hi);
+        if (!(thr >= lo && thr < hi)) thr = lo;
         thresholds[bin] = thr;
         ++bin;
       }

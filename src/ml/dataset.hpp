@@ -1,4 +1,5 @@
-// Tabular dataset for supervised classification.
+// Tabular dataset for supervised classification, plus ColumnMatrix: the
+// quantized (binned) column form that tree training searches splits on.
 #pragma once
 
 #include <cstddef>
@@ -72,77 +73,38 @@ class Dataset {
   std::vector<int> labels_;
 };
 
-/// Column-major copy of a Dataset's feature matrix, plus a per-feature
-/// presort of the rows.
+/// A Dataset's features quantized for histogram split search: at most
+/// kMaxBins value ranges per feature — LightGBM-style equal-frequency cuts
+/// over the feature's sorted values — stored as one per-row bin index
+/// column per feature, plus each boundary's raw-value threshold.
 ///
-/// The split search in tree training scans one feature across many rows;
-/// the row-major Dataset makes that a strided walk (cache-hostile), so
-/// training transposes once up front and every tree of a forest shares
-/// the same read-only copy — safe to use from many threads concurrently.
-/// The sorted row orders let each tree derive its bootstrap sample's
-/// sorted layout with a linear counting merge instead of re-sorting —
-/// the F column sorts are paid once per forest, not once per tree.
-///
-/// For histogram-based split finding (SplitMethod::kHistogram),
-/// build_bins() additionally quantizes every feature into at most
-/// kMaxBins value ranges — LightGBM-style equal-frequency cuts over the
-/// global sorted order — and materializes a per-row bin index column per
-/// feature. Like the presort, binning is paid once per forest and shared
-/// read-only across all trees and threads.
+/// The split search scans one feature across many rows, so the bin
+/// columns are contiguous (column-major) and one byte per cell. A forest
+/// bins once and every tree shares the same read-only copy — safe to use
+/// from many threads concurrently.
 class ColumnMatrix {
  public:
   /// Hard ceiling on bins per feature: bin indices are stored as uint8_t.
   static constexpr std::size_t kMaxBins = 256;
 
+  /// Quantize every feature of `data` into at most kMaxBins bins with
+  /// equal-frequency cut points over its sorted values; a feature with
+  /// fewer distinct values gets one bin per value.
   explicit ColumnMatrix(const Dataset& data);
 
   std::size_t num_rows() const { return num_rows_; }
   std::size_t num_features() const { return num_features_; }
 
-  /// All rows' values of one feature, contiguous.
-  std::span<const double> column(std::size_t f) const {
-    DROPPKT_EXPECT(f < num_features_, "ColumnMatrix::column: out of range");
-    return {data_.data() + f * num_rows_, num_rows_};
-  }
-
-  double value(std::size_t row, std::size_t f) const {
-    DROPPKT_EXPECT(row < num_rows_ && f < num_features_,
-                   "ColumnMatrix::value: out of range");
-    return data_[f * num_rows_ + row];
-  }
-
-  /// Row indices of one feature, ascending by (value, row).
-  std::span<const std::uint32_t> sorted_rows(std::size_t f) const {
-    DROPPKT_EXPECT(f < num_features_, "ColumnMatrix::sorted_rows: out of range");
-    return {sorted_rows_.data() + f * num_rows_, num_rows_};
-  }
-
-  /// The feature's values in the `sorted_rows(f)` order (ascending).
-  std::span<const double> sorted_values(std::size_t f) const {
-    DROPPKT_EXPECT(f < num_features_,
-                   "ColumnMatrix::sorted_values: out of range");
-    return {sorted_vals_.data() + f * num_rows_, num_rows_};
-  }
-
-  /// Quantize every feature into at most `max_bins` (<= kMaxBins) bins
-  /// with equal-frequency cut points over the sorted values; features
-  /// with fewer distinct values get one bin per value. Idempotent for a
-  /// given `max_bins`; must be called before the bin accessors below.
-  void build_bins(std::size_t max_bins = kMaxBins);
-
-  bool bins_built() const { return !bin_count_.empty(); }
-
   /// Number of bins feature `f` was quantized into (>= 1).
   std::size_t num_bins(std::size_t f) const {
-    DROPPKT_EXPECT(bins_built() && f < num_features_,
-                   "ColumnMatrix::num_bins: bins not built or out of range");
+    DROPPKT_EXPECT(f < num_features_, "ColumnMatrix::num_bins: out of range");
     return bin_count_[f];
   }
 
   /// All rows' bin indices for one feature, contiguous (row-indexed).
   std::span<const std::uint8_t> bin_column(std::size_t f) const {
-    DROPPKT_EXPECT(bins_built() && f < num_features_,
-                   "ColumnMatrix::bin_column: bins not built or out of range");
+    DROPPKT_EXPECT(f < num_features_,
+                   "ColumnMatrix::bin_column: out of range");
     return {binned_.data() + f * num_rows_, num_rows_};
   }
 
@@ -150,7 +112,7 @@ class ColumnMatrix {
   /// value <= threshold  iff  bin <= b. The last bin's threshold is
   /// +infinity (no right side — never a valid split).
   double bin_threshold(std::size_t f, std::size_t b) const {
-    DROPPKT_EXPECT(bins_built() && f < num_features_ && b < bin_count_[f],
+    DROPPKT_EXPECT(f < num_features_ && b < bin_count_[f],
                    "ColumnMatrix::bin_threshold: out of range");
     return bin_thresholds_[f * kMaxBins + b];
   }
@@ -158,14 +120,9 @@ class ColumnMatrix {
  private:
   std::size_t num_rows_;
   std::size_t num_features_;
-  std::vector<double> data_;                 // column-major
-  std::vector<std::uint32_t> sorted_rows_;   // per feature, by (value, row)
-  std::vector<double> sorted_vals_;          // values in sorted_rows_ order
-  // Histogram quantization (build_bins): per-row bin index per feature,
-  // bin counts, and per-boundary raw thresholds (kMaxBins stride).
-  std::vector<std::uint8_t> binned_;
-  std::vector<std::uint32_t> bin_count_;
-  std::vector<double> bin_thresholds_;
+  std::vector<std::uint8_t> binned_;        // per feature, row-indexed
+  std::vector<std::uint32_t> bin_count_;    // per feature
+  std::vector<double> bin_thresholds_;      // per feature, kMaxBins stride
 };
 
 /// Stratified k-fold split: each fold's class mix matches the dataset's.

@@ -1,4 +1,5 @@
-// CART decision-tree classifier (Gini impurity).
+// CART decision-tree classifier (Gini impurity), trained by histogram
+// split search over a ColumnMatrix's quantized feature bins.
 #pragma once
 
 #include <cstdint>
@@ -9,19 +10,6 @@
 #include "util/rng.hpp"
 
 namespace droppkt::ml {
-
-/// How fit_on searches for the best split at each node.
-enum class SplitMethod {
-  /// Presorted exact search over every distinct-value boundary.
-  kExact,
-  /// Histogram search over quantized feature bins (requires a
-  /// ColumnMatrix with build_bins() called). O(rows) accumulation per
-  /// node instead of presorted O(features x rows) scans, with
-  /// parent-minus-sibling histogram subtraction for the larger child.
-  /// Split quality is approximate (boundaries only exist between bins);
-  /// the training bench gates the accuracy delta against kExact.
-  kHistogram,
-};
 
 struct DecisionTreeParams {
   int max_depth = 24;
@@ -35,19 +23,18 @@ struct DecisionTreeParams {
   /// means uniform. Up-weighting a class trades precision for recall on
   /// it (e.g. an ISP chasing low-QoE sessions).
   std::vector<double> class_weights;
-  /// Split search algorithm; kHistogram needs binned columns (the
-  /// three-argument fit_on overload with ColumnMatrix::build_bins done).
-  SplitMethod split_method = SplitMethod::kExact;
 };
 
 /// Single CART tree. Supports fitting on a row subset (indices may repeat —
 /// bootstrap sample) and reports per-feature impurity decrease for Gini
 /// importance.
 ///
-/// Split search uses a presorted column-index structure: each feature's
-/// sample order is sorted once per fit (O(F·N log N)) and then partitioned
-/// down the tree, so every node's search is a linear scan — O(F·W) for a
-/// window of W samples instead of the naive O(F·W log W) re-sort.
+/// Split search runs over ColumnMatrix's quantized feature bins: each node
+/// accumulates per-class histograms of its candidate features over its
+/// window of W samples and scans the occupied bins, O(mtry·W) per node,
+/// then stable-partitions one position array into the children. A
+/// feature with at most ColumnMatrix::kMaxBins distinct values gets one
+/// bin per value, so its splits are the exact CART boundaries.
 class DecisionTree final : public Classifier {
  public:
   explicit DecisionTree(DecisionTreeParams params = {});
@@ -57,8 +44,8 @@ class DecisionTree final : public Classifier {
   /// Fit on a subset of rows (indices may repeat — bootstrap sample).
   void fit_on(const Dataset& train, std::span<const std::size_t> indices);
 
-  /// Same, reusing a caller-built column-major copy of `train` — a forest
-  /// transposes once and shares it (read-only) across all trees/threads.
+  /// Same, reusing caller-built bins of `train` — a forest bins once and
+  /// shares them (read-only) across all trees/threads.
   void fit_on(const Dataset& train, std::span<const std::size_t> indices,
               const ColumnMatrix& columns);
 
@@ -103,17 +90,10 @@ class DecisionTree final : public Classifier {
     std::vector<double> class_probs;  // leaf only
   };
 
-  struct FitContext;   // presorted per-feature orders; see decision_tree.cpp
-  struct HistContext;  // binned histogram state; see decision_tree.cpp
+  struct HistContext;  // binned split-search state; see decision_tree.cpp
 
-  std::int32_t build(FitContext& ctx, std::size_t begin, std::size_t end,
+  std::int32_t build(HistContext& ctx, std::size_t begin, std::size_t end,
                      int depth, util::Rng& rng);
-  void fit_histogram(const Dataset& train,
-                     std::span<const std::size_t> indices,
-                     const ColumnMatrix& columns, util::Rng& rng);
-  std::int32_t build_hist(HistContext& ctx, std::size_t begin,
-                          std::size_t end, int depth, int hist_slot,
-                          util::Rng& rng);
   const Node& descend(std::span<const double> features) const;
   double class_weight(int cls) const;
 

@@ -27,9 +27,6 @@ double timing_now_s(bool enabled) {
 RandomForest::RandomForest(RandomForestParams params)
     : params_(std::move(params)) {
   DROPPKT_EXPECT(params_.num_trees >= 1, "RandomForest: need >= 1 tree");
-  DROPPKT_EXPECT(params_.max_bins >= 2 &&
-                     params_.max_bins <= ColumnMatrix::kMaxBins,
-                 "RandomForest: max_bins must be in [2, 256]");
 }
 
 void RandomForest::fit(const Dataset& train) {
@@ -101,12 +98,9 @@ void RandomForest::fit_impl(const Dataset& train, util::ThreadPool* pool) {
   const double t_columns0 = timing_now_s(timing);
   if (timing) fit_timing_.bootstrap_draw_s = t_columns0 - t_draw0;
 
-  // One shared column-major transpose for every tree's split presort —
-  // and, in histogram mode, one shared quantization of every feature.
-  ColumnMatrix columns(train);
-  if (params_.split_method == SplitMethod::kHistogram) {
-    columns.build_bins(params_.max_bins);
-  }
+  // One shared quantization of every feature for every tree's split
+  // search.
+  const ColumnMatrix columns(train);
 
   const double t_trees0 = timing_now_s(timing);
   if (timing) fit_timing_.column_build_s = t_trees0 - t_columns0;
@@ -121,7 +115,6 @@ void RandomForest::fit_impl(const Dataset& train, util::ThreadPool* pool) {
     tp.max_features = mtry;
     tp.seed = job.tree_seed;
     tp.class_weights = params_.class_weights;
-    tp.split_method = params_.split_method;
     DecisionTree tree(tp);
     tree.fit_on(train, job.sample, columns);
     job.sample = {};  // bootstrap no longer needed; free it early

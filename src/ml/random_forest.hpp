@@ -27,13 +27,6 @@ struct RandomForestParams {
   /// bit-identical for every value — all randomness is drawn up front and
   /// results merge in tree order.
   std::size_t num_threads = 0;
-  /// Split search: kExact (presorted, every distinct-value boundary) or
-  /// kHistogram (quantized bins, O(rows) accumulation per node with
-  /// parent-minus-sibling subtraction — see SplitMethod). Histogram
-  /// training is likewise bit-identical for any num_threads.
-  SplitMethod split_method = SplitMethod::kExact;
-  /// Bins per feature for kHistogram (2..ColumnMatrix::kMaxBins).
-  std::size_t max_bins = 256;
   /// Record per-phase wall timings of fit() (see last_fit_timing()).
   /// Off by default: the clock reads are stats-only and never affect the
   /// fitted model, but they cost a syscall per tree.
@@ -45,7 +38,7 @@ struct RandomForestParams {
 /// fitted model is byte-identical with collection on or off.
 struct RandomForestFitTiming {
   double bootstrap_draw_s = 0.0;  // sequential up-front RNG phase
-  double column_build_s = 0.0;    // transpose + presort (+ binning)
+  double column_build_s = 0.0;    // per-feature sort + binning
   double trees_wall_s = 0.0;      // parallel tree-training region
   double oob_merge_s = 0.0;       // sequential OOB vote merge + error
   /// Per-tree training seconds (split search + OOB predictions), indexed
@@ -56,8 +49,10 @@ struct RandomForestFitTiming {
 };
 
 /// Bagged CART ensemble with per-split feature subsampling, soft voting,
-/// Gini feature importance and out-of-bag error. Trees train concurrently
-/// on a util::ThreadPool; see RandomForestParams::num_threads.
+/// Gini feature importance and out-of-bag error. The features are binned
+/// once per fit (ColumnMatrix) and every tree searches splits over the
+/// shared bins (see DecisionTree). Trees train concurrently on a
+/// util::ThreadPool; see RandomForestParams::num_threads.
 class RandomForest final : public Classifier, public PoolTrainable {
  public:
   explicit RandomForest(RandomForestParams params = {});

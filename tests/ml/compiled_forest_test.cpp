@@ -140,7 +140,6 @@ TEST(CompiledForest, MatchesTreeWalkOnHistogramTrainedForest) {
   RandomForestParams p;
   p.num_trees = 16;
   p.seed = 7;
-  p.split_method = SplitMethod::kHistogram;
   p.num_threads = 1;
   RandomForest rf(p);
   rf.fit(train);

@@ -205,22 +205,6 @@ TEST(ParallelFit, TreeProbaRefViewsLeafDistribution) {
   }
 }
 
-TEST(ColumnMatrix, TransposesDataset) {
-  const auto d = make_problem(30, 18);
-  const ColumnMatrix cols(d);
-  EXPECT_EQ(cols.num_rows(), d.size());
-  EXPECT_EQ(cols.num_features(), d.num_features());
-  for (std::size_t f = 0; f < d.num_features(); ++f) {
-    const auto col = cols.column(f);
-    ASSERT_EQ(col.size(), d.size());
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      EXPECT_EQ(col[i], d.row(i)[f]);
-      EXPECT_EQ(cols.value(i, f), d.row(i)[f]);
-    }
-  }
-  EXPECT_THROW(cols.column(d.num_features()), droppkt::ContractViolation);
-}
-
 TEST(ColumnMatrix, SharedAcrossTreesMatchesPerTreeBuild) {
   const auto d = make_problem(120, 19);
   const ColumnMatrix cols(d);

@@ -39,7 +39,7 @@ void QoeEstimator::train_raw(
   }
   ml::RandomForest forest(config_.forest);
   forest.fit(data);
-  compiled_ = ml::CompiledForest::compile(forest);
+  compiled_ = forest.compiled();
   compiled_.bind_telemetry(predictions_ctr_);
   importances_ = forest.ranked_importances();
 }

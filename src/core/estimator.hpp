@@ -29,10 +29,9 @@ struct EstimatorConfig {
 /// End-to-end estimator: TLS log -> 38 features -> Random Forest -> class.
 ///
 /// The estimator holds only a ml::CompiledForest: training fits a
-/// tree-walk forest, compiles it, keeps its importances and drops it, and
-/// loading reads the compiled form straight from the model file. Every
-/// predict* method serves from the flat arrays, byte-identical to voting
-/// the tree-walk forest directly.
+/// ml::RandomForest, copies its compiled form and its importances and
+/// drops it, and loading reads the compiled form straight from the model
+/// file. Every predict* method serves from the flat arrays.
 class QoeEstimator {
  public:
   using Config = EstimatorConfig;

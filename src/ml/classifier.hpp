@@ -24,12 +24,10 @@ class Classifier {
   /// Predict the class of one feature vector (width must match training).
   virtual int predict(std::span<const double> features) const = 0;
 
-  /// Per-class probabilities; default implementation is a one-hot of
-  /// predict(). Sums to 1.
-  virtual std::vector<double> predict_proba(std::span<const double> features) const;
-
-  /// Predict every row of a dataset.
-  std::vector<int> predict_all(const Dataset& data) const;
+  /// Per-class probabilities, one per class of the training set. Sums
+  /// to 1.
+  virtual std::vector<double> predict_proba(
+      std::span<const double> features) const = 0;
 };
 
 /// Factory: cross-validation needs a fresh, identically-configured model

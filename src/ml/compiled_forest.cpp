@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "ml/dataset.hpp"
-#include "ml/random_forest.hpp"
+#include "ml/decision_tree.hpp"
 #include "util/expect.hpp"
 #include "util/thread_pool.hpp"
 
@@ -64,25 +64,28 @@ void CompiledForest::compute_depths() {
   }
 }
 
-CompiledForest CompiledForest::compile(const RandomForest& forest) {
-  DROPPKT_EXPECT(forest.num_trees() > 0,
-                 "CompiledForest::compile: forest is not fitted");
-  const std::size_t n_trees = forest.num_trees();
+CompiledForest CompiledForest::compile(std::span<const DecisionTree> trees) {
+  DROPPKT_EXPECT(!trees.empty(), "CompiledForest::compile: no trees");
   std::size_t total_nodes = 0;
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    total_nodes += forest.tree(t).node_count();
+  for (const DecisionTree& tree : trees) {
+    DROPPKT_EXPECT(tree.node_count() > 0,
+                   "CompiledForest::compile: tree is not fitted");
+    // A wider tree could index features past the row at predict time.
+    DROPPKT_EXPECT(tree.num_features() == trees[0].num_features(),
+                   "CompiledForest::compile: trees disagree on width");
+    total_nodes += tree.node_count();
   }
   DROPPKT_EXPECT(total_nodes <= kMaxLoadNodes,
                  "CompiledForest::compile: forest too large for int32 offsets");
 
   CompiledForest cf;
-  cf.num_classes_ = forest.num_classes();
-  cf.num_features_ = static_cast<std::int32_t>(forest.num_features());
+  cf.num_classes_ = trees[0].num_classes();
+  cf.num_features_ = static_cast<std::int32_t>(trees[0].num_features());
   cf.feature_.reserve(total_nodes);
   cf.threshold_.reserve(total_nodes);
   cf.left_.reserve(total_nodes);
   cf.leaf_off_.reserve(total_nodes);
-  cf.roots_.reserve(n_trees);
+  cf.roots_.reserve(trees.size());
 
   const auto c_count = static_cast<std::size_t>(cf.num_classes_);
   auto alloc_node = [&cf]() {  // a leaf until its source says otherwise
@@ -98,8 +101,7 @@ CompiledForest CompiledForest::compile(const RandomForest& forest) {
   // allocated when the parent is emitted so siblings land adjacent and
   // children always follow their parent.
   std::vector<std::pair<std::int32_t, std::int32_t>> stack;
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    const DecisionTree& tree = forest.tree(t);
+  for (const DecisionTree& tree : trees) {
     cf.roots_.push_back(alloc_node());
     stack.push_back({0, cf.roots_.back()});
     while (!stack.empty()) {
@@ -156,7 +158,7 @@ void CompiledForest::predict_proba_into(std::span<const double> features,
   // kLanes trees descend this row in lockstep, each group for as many
   // steps as its deepest tree needs (shallower lanes park on their
   // self-looping leaf). Leaf distributions are then added in tree order,
-  // so the sums round exactly as predict_proba_row's.
+  // so the sums round exactly as per-tree descent's.
   for (; t + kLanes <= n_trees; t += kLanes) {
     const double* xs[kLanes];
     std::int32_t idx[kLanes];
@@ -202,7 +204,7 @@ void CompiledForest::batch_rows(std::span<const double> matrix,
     double* const slab = out.data() + lo * c_count;
     std::fill(slab, slab + (hi - lo) * c_count, 0.0);
     // Tree-major over the tile: per row the additions still happen in
-    // tree order, so the result is byte-identical to predict_proba_row.
+    // tree order, so the result is byte-identical to predict_proba_into.
     for (std::size_t t = 0; t < roots_.size(); ++t) {
       const std::int32_t root = roots_[t];
       const std::int32_t dep = depth_[t];

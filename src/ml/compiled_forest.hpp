@@ -13,15 +13,15 @@
 namespace droppkt::ml {
 
 class Dataset;
-class RandomForest;
+class DecisionTree;
 
-/// A fitted RandomForest compiled into contiguous flat arrays.
+/// A forest of fitted DecisionTrees compiled into contiguous flat arrays.
 ///
-/// RandomForest keeps each tree as a vector of Node structs whose leaves
-/// own their probability vectors — pointer-chasing three levels deep per
-/// lookup. CompiledForest lays every node of every tree into shared SoA
-/// arrays (feature index, raw threshold, left-child offset, leaf-prob
-/// offset) with sibling pairs adjacent, so one descent step is
+/// A DecisionTree keeps its nodes as a vector of Node structs whose
+/// leaves own their probability vectors — pointer-chasing three levels
+/// deep per lookup. CompiledForest lays every node of every tree into
+/// shared SoA arrays (feature index, raw threshold, left-child offset,
+/// leaf-prob offset) with sibling pairs adjacent, so one descent step is
 /// `i = left[i] + (x[feature[i]] > threshold[i])` — a data-dependent add,
 /// no branch on the comparison. Leaves self-loop for every input (see
 /// the node arrays below), which makes the step total: descent runs a
@@ -35,25 +35,24 @@ class RandomForest;
 ///     its deepest tree's step count (shallower lanes park on their
 ///     self-looping leaf), then any remainder trees walk one at a time.
 ///
-/// Predictions are numerically byte-identical to the source forest's
-/// predict_proba* family: per row, leaf distributions accumulate in tree
-/// order and are scaled by 1/num_trees, the exact op order of
-/// RandomForest::predict_proba_row. The batch path additionally blocks
-/// rows into cache-sized tiles and sweeps all trees per tile, keeping
-/// each tile's feature rows and output slab resident while the node
-/// arrays stream through once per tile.
+/// Per row, the output is bit-identical to per-tree descent: the sum of
+/// each tree's DecisionTree::predict_proba_ref in tree order, times
+/// 1/num_trees. The batch path additionally blocks rows into cache-sized
+/// tiles and sweeps all trees per tile, keeping each tile's feature rows
+/// and output slab resident while the node arrays stream through once per
+/// tile. RandomForest::fit compiles its trees through compile(), and a
+/// loaded model file is this form.
 ///
-/// Input contract: feature values must not be NaN (the source forest
-/// routes NaN right; compiled descent stays inside the node arrays but
-/// the returned distribution is unspecified). Finite values, including
-/// infinities, agree with the tree walk exactly.
+/// Every double is a valid input, with DecisionTree's routing: a split
+/// sends x left iff `x <= threshold`, so NaN goes right at every split and
+/// ±infinity compare as ordered values.
 class CompiledForest {
  public:
   CompiledForest() = default;
 
-  /// Flatten a fitted forest. The result is self-contained — the source
-  /// forest may be destroyed afterwards.
-  static CompiledForest compile(const RandomForest& forest);
+  /// Flatten fitted trees, in order. The result is self-contained — the
+  /// trees may be destroyed afterwards.
+  static CompiledForest compile(std::span<const DecisionTree> trees);
 
   bool compiled() const { return !roots_.empty(); }
   int num_classes() const { return num_classes_; }
@@ -77,8 +76,8 @@ class CompiledForest {
   /// num_features, contiguous); writes mean per-class probabilities into
   /// `out` (num_rows x num_classes). Rows are processed in cache-blocked
   /// tiles split across `num_threads` workers (0 = hardware concurrency);
-  /// output is identical for any thread count and byte-identical to
-  /// RandomForest::predict_proba_batch on the source forest.
+  /// output is identical for any thread count and to predict_proba_into
+  /// row by row.
   void predict_proba_batch(std::span<const double> matrix,
                            std::span<double> out,
                            std::size_t num_threads = 1) const;
@@ -114,8 +113,8 @@ class CompiledForest {
   // One descent step; total for every node because leaves self-loop.
   std::int32_t step(std::int32_t i, const double* x) const {
     const auto u = static_cast<std::size_t>(i);
-    // Mirror of the tree-walk rule "left if x[f] <= threshold", negated
-    // so the right child is a +1 offset.
+    // Mirror of DecisionTree's rule "left if x[f] <= threshold", negated
+    // so the right child is a +1 offset (and NaN goes right).
     return left_[u] +
            static_cast<std::int32_t>(!(x[feature_[u]] <= threshold_[u]));
   }

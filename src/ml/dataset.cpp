@@ -1,12 +1,9 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <numeric>
 
-#include "util/csv.hpp"
 #include "util/expect.hpp"
 
 namespace droppkt::ml {
@@ -136,73 +133,6 @@ ColumnMatrix::ColumnMatrix(const Dataset& data)
     }
     bin_count_[f] = static_cast<std::uint32_t>(bin + 1);
   }
-}
-
-int Dataset::majority_class() const {
-  const auto counts = class_counts();
-  return static_cast<int>(
-      std::max_element(counts.begin(), counts.end()) - counts.begin());
-}
-
-void Dataset::write_csv(std::ostream& os) const {
-  auto header = feature_names_;
-  header.push_back("label");
-  util::CsvTable table(std::move(header));
-  // Full precision so a round-trip reproduces the matrix exactly.
-  auto precise = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  for (std::size_t i = 0; i < size(); ++i) {
-    std::vector<std::string> cells;
-    cells.reserve(num_features() + 1);
-    for (double v : row(i)) cells.push_back(precise(v));
-    cells.push_back(std::to_string(label(i)));
-    table.add_row(std::move(cells));
-  }
-  table.write(os);
-}
-
-void Dataset::write_csv_file(const std::string& path) const {
-  std::ofstream ofs(path);
-  if (!ofs) throw std::runtime_error("Dataset: cannot open " + path);
-  write_csv(ofs);
-  if (!ofs) throw std::runtime_error("Dataset: write failed " + path);
-}
-
-Dataset Dataset::read_csv(std::istream& is, int num_classes) {
-  const auto table = util::CsvTable::read(is);
-  DROPPKT_EXPECT(table.num_cols() >= 2,
-                 "Dataset::read_csv: need features plus a label column");
-  DROPPKT_EXPECT(table.header().back() == "label",
-                 "Dataset::read_csv: last column must be 'label'");
-  std::vector<std::string> names(table.header().begin(),
-                                 table.header().end() - 1);
-  const std::size_t label_col = table.num_cols() - 1;
-  int max_label = 0;
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    max_label = std::max(max_label,
-                         static_cast<int>(table.at_double(r, label_col)));
-  }
-  Dataset data(std::move(names),
-               num_classes > 0 ? num_classes : max_label + 1);
-  data.reserve(table.num_rows());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    std::vector<double> row;
-    row.reserve(label_col);
-    for (std::size_t c = 0; c < label_col; ++c) {
-      row.push_back(table.at_double(r, c));
-    }
-    data.add_row(std::move(row), static_cast<int>(table.at_double(r, label_col)));
-  }
-  return data;
-}
-
-Dataset Dataset::read_csv_file(const std::string& path, int num_classes) {
-  std::ifstream ifs(path);
-  if (!ifs) throw std::runtime_error("Dataset: cannot open " + path);
-  return read_csv(ifs, num_classes);
 }
 
 std::vector<std::vector<std::size_t>> stratified_folds(const Dataset& data,

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,19 +51,6 @@ class Dataset {
 
   /// New dataset keeping only the named feature columns, in that order.
   Dataset select_features(const std::vector<std::string>& names) const;
-
-  /// Most frequent class (ties: lowest index).
-  int majority_class() const;
-
-  /// Export as CSV (feature columns + a final "label" column) — for
-  /// analysis in external tools.
-  void write_csv(std::ostream& os) const;
-  void write_csv_file(const std::string& path) const;
-
-  /// Import from `write_csv` output. `num_classes` is inferred as
-  /// max(label)+1 unless given.
-  static Dataset read_csv(std::istream& is, int num_classes = 0);
-  static Dataset read_csv_file(const std::string& path, int num_classes = 0);
 
  private:
   std::vector<std::string> feature_names_;

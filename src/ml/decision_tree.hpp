@@ -61,6 +61,9 @@ class DecisionTree final : public Classifier {
 
   std::size_t node_count() const { return nodes_.size(); }
   int depth() const;
+  /// Shape of the last fit's training data.
+  int num_classes() const { return num_classes_; }
+  std::size_t num_features() const { return num_features_; }
 
   /// Read-only flat view of one node, for forest compilation.
   /// feature == -1 marks a leaf (class_probs valid, children unset);

@@ -6,7 +6,6 @@
 
 #include "util/expect.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace droppkt::ml {
 
@@ -233,61 +232,22 @@ double GradientBoosting::raw_score(std::span<const double> features,
   return score;
 }
 
-void GradientBoosting::predict_proba_row(std::span<const double> features,
-                                         std::span<double> out) const {
-  double total = 0.0;
-  for (int c = 0; c < num_classes_; ++c) {
-    const double s = raw_score(features, c);
-    out[static_cast<std::size_t>(c)] = 1.0 / (1.0 + std::exp(-s));
-    total += out[static_cast<std::size_t>(c)];
-  }
-  if (total > 0.0) {
-    for (auto& p : out) p /= total;
-  }
-}
-
 std::vector<double> GradientBoosting::predict_proba(
     std::span<const double> features) const {
   DROPPKT_EXPECT(!ensembles_.empty(), "GradientBoosting: predict before fit");
   DROPPKT_EXPECT(features.size() == num_features_,
                  "GradientBoosting: feature width mismatch");
   std::vector<double> proba(static_cast<std::size_t>(num_classes_));
-  predict_proba_row(features, proba);
+  double total = 0.0;
+  for (int c = 0; c < num_classes_; ++c) {
+    const double s = raw_score(features, c);
+    proba[static_cast<std::size_t>(c)] = 1.0 / (1.0 + std::exp(-s));
+    total += proba[static_cast<std::size_t>(c)];
+  }
+  if (total > 0.0) {
+    for (auto& p : proba) p /= total;
+  }
   return proba;
-}
-
-void GradientBoosting::predict_proba_batch(const Dataset& data,
-                                           std::span<double> out,
-                                           std::size_t num_threads) const {
-  DROPPKT_EXPECT(!ensembles_.empty(), "GradientBoosting: predict before fit");
-  const auto c_count = static_cast<std::size_t>(num_classes_);
-  DROPPKT_EXPECT(out.size() == data.size() * c_count,
-                 "GradientBoosting::predict_proba_batch: bad output buffer");
-  auto one_row = [&](std::size_t r) {
-    predict_proba_row(data.row(r), out.subspan(r * c_count, c_count));
-  };
-  const std::size_t threads =
-      std::min(util::ThreadPool::resolve_threads(num_threads),
-               std::max<std::size_t>(1, data.size()));
-  if (threads <= 1 || data.size() <= 1) {
-    for (std::size_t r = 0; r < data.size(); ++r) one_row(r);
-  } else {
-    util::ThreadPool pool(threads);
-    pool.parallel_for(0, data.size(), one_row);
-  }
-}
-
-std::vector<int> GradientBoosting::predict_batch(const Dataset& data,
-                                                 std::size_t num_threads) const {
-  const auto c_count = static_cast<std::size_t>(num_classes_);
-  std::vector<double> proba(data.size() * c_count);
-  predict_proba_batch(data, proba, num_threads);
-  std::vector<int> preds(data.size());
-  for (std::size_t r = 0; r < data.size(); ++r) {
-    const double* p = proba.data() + r * c_count;
-    preds[r] = static_cast<int>(std::max_element(p, p + c_count) - p);
-  }
-  return preds;
 }
 
 int GradientBoosting::predict(std::span<const double> features) const {

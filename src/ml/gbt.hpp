@@ -69,20 +69,7 @@ class GradientBoosting final : public Classifier {
   int predict(std::span<const double> features) const override;
   std::vector<double> predict_proba(std::span<const double> features) const override;
 
-  /// Per-class probabilities for every row of `data`, written into `out`
-  /// (size rows x num_classes) with no per-row allocations. Rows are
-  /// split across `num_threads` workers (0 = hardware concurrency);
-  /// output is identical for any thread count.
-  void predict_proba_batch(const Dataset& data, std::span<double> out,
-                           std::size_t num_threads = 1) const;
-
-  /// Argmax labels for every row of `data`.
-  std::vector<int> predict_batch(const Dataset& data,
-                                 std::size_t num_threads = 1) const;
-
  private:
-  void predict_proba_row(std::span<const double> features,
-                         std::span<double> out) const;
   double raw_score(std::span<const double> features, int cls) const;
 
   GradientBoostingParams params_;

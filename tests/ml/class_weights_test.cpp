@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "ml/decision_tree.hpp"
 #include "ml/random_forest.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"

@@ -35,7 +35,6 @@ TEST(Dataset, ClassCounts) {
   EXPECT_EQ(counts[0], 1u);
   EXPECT_EQ(counts[1], 2u);
   EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(d.majority_class(), 1);
 }
 
 TEST(Dataset, ValidatesConstruction) {

@@ -1,10 +1,9 @@
 // Histogram split search: quantized binning invariants at the production
 // bin cap, thread-count determinism of training, fit_on_pool equivalence,
-// OOB/importance bookkeeping and the stats-only fit timing.
+// importance bookkeeping and the stats-only fit timing.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,7 +44,7 @@ Dataset make_problem(std::size_t n, std::uint64_t seed,
 // and leaf probability at max_digits10, in pre-order child layout.
 std::string compiled_text(const RandomForest& rf) {
   std::stringstream ss;
-  CompiledForest::compile(rf).save(ss);
+  rf.compiled().save(ss);
   return ss.str();
 }
 
@@ -139,8 +138,6 @@ TEST(HistogramSplit, OobAndImportancesPopulated) {
   p.num_threads = 1;
   RandomForest rf(p);
   rf.fit(d);
-  ASSERT_TRUE(rf.oob_error().has_value());
-  EXPECT_LT(*rf.oob_error(), 0.5);
   const auto imp = rf.feature_importances();
   ASSERT_EQ(imp.size(), d.num_features());
   // The informative features must dominate the noise columns.

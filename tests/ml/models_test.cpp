@@ -69,17 +69,6 @@ TEST_P(AllModels, ProbaIsDistribution) {
   EXPECT_NEAR(sum, 1.0, 1e-6);
 }
 
-TEST_P(AllModels, PredictAllMatchesPredict) {
-  const auto train = gaussian_blobs(100, 4);
-  auto model = GetParam().make();
-  model->fit(train);
-  const auto preds = model->predict_all(train);
-  ASSERT_EQ(preds.size(), train.size());
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(preds[i], model->predict(train.row(i)));
-  }
-}
-
 TEST_P(AllModels, DeterministicAcrossRuns) {
   const auto train = gaussian_blobs(120, 5);
   auto a = GetParam().make();

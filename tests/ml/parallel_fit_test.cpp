@@ -1,8 +1,9 @@
 // Determinism and equivalence guarantees of the parallel ML training
-// engine: thread count must never change any result, and the batch
-// predictors must agree with their one-row counterparts.
+// engine: thread count must never change any result, and the compiled
+// forest's batch predictor must agree with its one-row counterpart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <sstream>
@@ -11,7 +12,7 @@
 
 #include "ml/compiled_forest.hpp"
 #include "ml/cross_validation.hpp"
-#include "ml/gbt.hpp"
+#include "ml/decision_tree.hpp"
 #include "ml/random_forest.hpp"
 #include "util/rng.hpp"
 
@@ -30,19 +31,17 @@ Dataset make_problem(std::size_t n, std::uint64_t seed) {
   return d;
 }
 
-std::string fit_and_save(const Dataset& d, std::size_t num_threads,
-                         std::optional<double>* oob = nullptr) {
+std::string fit_and_save(const Dataset& d, std::size_t num_threads) {
   RandomForestParams p;
   p.num_trees = 24;
   p.seed = 1303;
   p.num_threads = num_threads;
   RandomForest rf(p);
   rf.fit(d);
-  if (oob != nullptr) *oob = rf.oob_error();
   // The compiled text holds every split feature, every threshold and leaf
   // probability at max_digits10 and the pre-order child layout.
   std::stringstream ss;
-  CompiledForest::compile(rf).save(ss);
+  rf.compiled().save(ss);
   return ss.str();
 }
 
@@ -64,15 +63,11 @@ std::string dump_tree(const DecisionTree& tree) {
 
 TEST(ParallelFit, ForestBitIdenticalForAnyThreadCount) {
   const auto d = make_problem(250, 5);
-  std::optional<double> oob1, oob2, oob8;
-  const std::string m1 = fit_and_save(d, 1, &oob1);
-  const std::string m2 = fit_and_save(d, 2, &oob2);
-  const std::string m8 = fit_and_save(d, 8, &oob8);
+  const std::string m1 = fit_and_save(d, 1);
+  const std::string m2 = fit_and_save(d, 2);
+  const std::string m8 = fit_and_save(d, 8);
   EXPECT_EQ(m1, m2);
   EXPECT_EQ(m1, m8);
-  ASSERT_TRUE(oob1.has_value());
-  EXPECT_EQ(*oob1, *oob2);  // exact: merge order is fixed by tree index
-  EXPECT_EQ(*oob1, *oob8);
 }
 
 TEST(ParallelFit, ImportancesIdenticalForAnyThreadCount) {
@@ -120,18 +115,19 @@ TEST(ParallelFit, ForestBatchPredictMatchesPerRow) {
   p.seed = 5;
   RandomForest rf(p);
   rf.fit(train);
+  const CompiledForest& cf = rf.compiled();
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const auto preds = rf.predict_batch(test, threads);
-    ASSERT_EQ(preds.size(), test.size());
     std::vector<double> proba(test.size() * 3);
-    rf.predict_proba_batch(test, proba, threads);
+    cf.predict_proba_batch(test, proba, threads);
     for (std::size_t i = 0; i < test.size(); ++i) {
-      EXPECT_EQ(preds[i], rf.predict(test.row(i)));
       const auto one = rf.predict_proba(test.row(i));
       for (std::size_t c = 0; c < 3; ++c) {
         EXPECT_EQ(proba[i * 3 + c], one[c]);
       }
+      const double* row = proba.data() + i * 3;
+      EXPECT_EQ(static_cast<int>(std::max_element(row, row + 3) - row),
+                rf.predict(test.row(i)));
     }
   }
 }
@@ -152,8 +148,8 @@ TEST(ParallelFit, ForestFlatMatrixBatchMatchesDatasetBatch) {
   }
   std::vector<double> from_matrix(test.size() * 3);
   std::vector<double> from_dataset(test.size() * 3);
-  rf.predict_proba_batch(matrix, from_matrix, 2);
-  rf.predict_proba_batch(test, from_dataset, 1);
+  rf.compiled().predict_proba_batch(matrix, from_matrix, 2);
+  rf.compiled().predict_proba_batch(test, from_dataset, 1);
   EXPECT_EQ(from_matrix, from_dataset);
 }
 
@@ -163,32 +159,22 @@ TEST(ParallelFit, BatchBufferSizeValidated) {
   p.num_trees = 4;
   RandomForest rf(p);
   rf.fit(d);
+  const CompiledForest& cf = rf.compiled();
   std::vector<double> too_small(d.size() * 3 - 1);
-  EXPECT_THROW(rf.predict_proba_batch(d, too_small, 1),
+  EXPECT_THROW(cf.predict_proba_batch(d, too_small, 1),
+               droppkt::ContractViolation);
+  std::vector<double> out(3);
+  const std::vector<double> one_row(d.row(0).begin(), d.row(0).end());
+  std::vector<double> none;
+  EXPECT_THROW(cf.predict_proba_batch(std::span<const double>(one_row), none, 1),
                droppkt::ContractViolation);
   std::vector<double> ragged(7);  // not a multiple of feature width
-  std::vector<double> out(3);
-  EXPECT_THROW(rf.predict_proba_batch(std::span<const double>(ragged), out, 1),
+  EXPECT_THROW(cf.predict_proba_batch(std::span<const double>(ragged), out, 1),
                droppkt::ContractViolation);
-}
-
-TEST(ParallelFit, GbtBatchPredictMatchesPerRow) {
-  const auto train = make_problem(160, 15);
-  const auto test = make_problem(50, 16);
-  GradientBoostingParams p;
-  p.num_rounds = 15;
-  GradientBoosting gbt(p);
-  gbt.fit(train);
-  const auto preds = gbt.predict_batch(test, 3);
-  std::vector<double> proba(test.size() * 3);
-  gbt.predict_proba_batch(test, proba, 3);
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    EXPECT_EQ(preds[i], gbt.predict(test.row(i)));
-    const auto one = gbt.predict_proba(test.row(i));
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(proba[i * 3 + c], one[c]);
-    }
-  }
+  Dataset narrow({"x0", "x1"}, 3);
+  narrow.add_row({0.0, 0.0}, 0);
+  EXPECT_THROW(cf.predict_proba_batch(narrow, out, 1),
+               droppkt::ContractViolation);
 }
 
 TEST(ParallelFit, TreeProbaRefViewsLeafDistribution) {

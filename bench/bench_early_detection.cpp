@@ -3,14 +3,11 @@
 // How early could an ISP classify a session if the proxy exported
 // partial records? Accuracy vs observation horizon.
 //
-// One incremental pass per session: each session's log is folded into a
-// TlsFeatureAccumulator once, and every horizon's feature vector is a
-// snapshot_at() of that one accumulator — bit-identical to the old
-// truncate-and-re-extract loop (the equivalence the accumulator
-// guarantees and bench_feature_extraction gates), at O(n + H·n) instead
-// of O(H·(copy + extract)).
+// Each horizon's row is the paper's one feature formula over what a
+// monitor would have exported by then: truncate_tls_log clips the log at
+// the horizon, and extract_tls_features extracts it.
 #include "bench_common.hpp"
-#include "core/feature_accumulator.hpp"
+#include "core/tls_features.hpp"
 #include "util/render.hpp"
 
 int main() {
@@ -32,18 +29,11 @@ int main() {
     data.back().reserve(ds.size());
   }
 
-  core::TlsFeatureAccumulator acc;
-  std::vector<double> row(acc.feature_count());
   for (const auto& s : ds) {
-    acc.reset();
-    for (const auto& t : s.record.tls) acc.observe(t);
     for (std::size_t i = 0; i < kHorizons; ++i) {
-      if (horizons[i] >= 1e9) {
-        acc.snapshot_into(row);
-      } else {
-        acc.snapshot_at(horizons[i], row);
-      }
-      data[i].add_row(std::span<const double>(row), s.labels.combined);
+      data[i].add_row(core::extract_tls_features(
+                          core::truncate_tls_log(s.record.tls, horizons[i])),
+                      s.labels.combined);
     }
   }
 

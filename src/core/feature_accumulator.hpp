@@ -1,28 +1,23 @@
 // Incremental construction of the paper's 38-feature TLS representation.
 //
 // The batch extractor (extract_tls_features) needs the whole session log
-// up front, so every layer that wanted features mid-session paid to
-// recompute them from scratch: the early-detection bench re-extracted per
-// horizon (O(H·n)), and a per-record provisional estimate in the
-// streaming monitor would have been O(n²). TlsFeatureAccumulator turns
-// that into one pass: observe() folds a transaction into running state
-// (sorted per-metric samples for exact order statistics, exactly-rounded
-// byte totals and cumulative-interval counters), and snapshot_into()
-// materializes the feature vector with zero allocation.
+// up front, so a per-record provisional estimate in the streaming monitor
+// would cost O(n²) if every snapshot re-extracted. TlsFeatureAccumulator
+// turns that into one pass: observe() folds a transaction into running
+// state (sorted per-metric samples for exact order statistics,
+// exactly-rounded byte totals and cumulative-interval counters), and
+// snapshot_into() materializes the feature vector with zero allocation.
 //
-// Equivalence contract (asserted by tests and gated in
-// bench_feature_extraction):
-//   * snapshot_into() is bit-identical to extract_tls_features over the
-//     same transaction multiset, for ANY observation order — the batch
-//     extractor is itself a thin wrapper over this class, and all
-//     order-sensitive reductions inside use util::ExactSum /
-//     util::OrderedSample, which are functions of the multiset alone.
-//   * snapshot_at(h) is bit-identical to truncate_tls_log(log, h)
-//     followed by batch extraction: proportional byte clipping of
-//     transactions still open at the horizon, drop of later ones.
+// Equivalence contract (asserted by the TlsFeatureAccumulator.* tests):
+// snapshot_into() is bit-identical to extract_tls_features over the same
+// transaction multiset, for ANY observation order — the batch extractor
+// is itself a thin wrapper over this class, and all order-sensitive
+// reductions inside use util::ExactSum / util::OrderedSample, which are
+// functions of the multiset alone. There is one feature formula: early
+// detection truncates the log (truncate_tls_log) and then extracts.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -62,14 +57,6 @@ class TlsFeatureAccumulator {
   /// accumulator writes all zeros, like the batch extractor.
   void snapshot_into(std::span<double> out) const;
 
-  /// The feature vector a monitor would compute `horizon_s` after the
-  /// first observed transaction: later transactions dropped, open ones
-  /// clipped with proportional byte shares — bit-identical to
-  /// truncate_tls_log + extract_tls_features, without materializing the
-  /// truncated log. Reuses internal scratch (hence non-const); O(n) per
-  /// call instead of the batch path's copy + re-extract.
-  void snapshot_at(double horizon_s, std::span<double> out);
-
   /// Convenience: snapshot into a fresh vector (allocating; the batch
   /// wrapper and tests use this, hot paths use snapshot_into).
   std::vector<double> snapshot() const;
@@ -79,14 +66,13 @@ class TlsFeatureAccumulator {
     double start_s, end_s, ul_bytes, dl_bytes;
   };
 
-  void fold_intervals(const Txn& t, std::vector<util::ExactSum>& dl,
-                      std::vector<util::ExactSum>& ul) const;
+  void fold_intervals(const Txn& t);
   void rebuild_intervals();
 
   TlsFeatureConfig config_;
   std::size_t n_features_ = 0;
 
-  std::vector<Txn> txns_;  // observation order (rebuilds + snapshot_at)
+  std::vector<Txn> txns_;  // observation order (interval rebuilds)
   double first_start_ = 0.0;
   double last_end_ = 0.0;
   util::ExactSum total_dl_, total_ul_;
@@ -94,33 +80,6 @@ class TlsFeatureAccumulator {
   util::OrderedSample starts_;  // sorted arrival times
   util::OrderedSample iat_;     // gaps between adjacent sorted starts
   std::vector<util::ExactSum> cum_dl_, cum_ul_;  // one per interval end
-
-  void reset_sweep();
-  void fold_closed(const Txn& t);
-
-  // snapshot_at sweep state, reused across calls. s_by_start_ is a lazily
-  // rebuilt start-sorted copy of txns_; consecutive snapshot_at calls
-  // with non-decreasing horizons (the early-detection access pattern)
-  // advance through it incrementally: a transaction wholly before the
-  // cutoff contributes the same values to every later horizon, so its
-  // fold into the s_* scratch happens exactly once, and only the few
-  // transactions still open at the cutoff are clipped per call. observe()
-  // or a smaller horizon resets the sweep. Fold order is irrelevant —
-  // every scratch reduction is a function of the value multiset (exact
-  // sums; samples summarized by selection or after sorting a copy).
-  std::vector<Txn> s_by_start_;
-  bool s_by_start_valid_ = false;
-  double sweep_cutoff_ = 0.0;
-  std::size_t sweep_pos_ = 0;          // first index with start >= cutoff
-  std::vector<std::uint32_t> sweep_open_;  // started, end > cutoff
-  double sweep_last_closed_end_ = 0.0;
-  std::vector<double> s_metric_[5];  // closed txns: dl, ul, dur, tdr, d2u
-  std::vector<double> s_starts_, s_iat_;  // all started txns (ascending)
-  std::vector<double> s_summary_;    // per-call copy handed to selection
-  util::ExactSum s_total_dl_, s_total_ul_;             // closed txns
-  std::vector<util::ExactSum> s_cum_dl_, s_cum_ul_;    // closed txns
-  std::vector<Txn> o_clipped_;       // per-call: open txns clipped to cutoff
-  std::vector<util::ExactSum> o_cum_dl_, o_cum_ul_;    // closed + clipped
 };
 
 }  // namespace droppkt::core

@@ -42,7 +42,8 @@ void StreamingMonitor::use_external_pools(const util::StringPool* client_pool,
 void StreamingMonitor::bind_telemetry(const MonitorMetrics& metrics) {
   DROPPKT_EXPECT(metrics.sessions != nullptr && metrics.provisionals != nullptr &&
                      metrics.clients_evicted != nullptr &&
-                     metrics.sessions_noise_dropped != nullptr,
+                     metrics.sessions_noise_dropped != nullptr &&
+                     metrics.records_late != nullptr,
                  "StreamingMonitor: telemetry counters must be non-null");
   DROPPKT_EXPECT(clients_.empty() && sessions_reported() == 0,
                  "StreamingMonitor: telemetry must be bound before the first "
@@ -51,6 +52,7 @@ void StreamingMonitor::bind_telemetry(const MonitorMetrics& metrics) {
   provisionals_ctr_ = metrics.provisionals;
   evicted_ctr_ = metrics.clients_evicted;
   noise_ctr_ = metrics.sessions_noise_dropped;
+  late_ctr_ = metrics.records_late;
 }
 
 void StreamingMonitor::set_provisional_callback(
@@ -148,8 +150,12 @@ void StreamingMonitor::observe_ref(util::StringPool::Ref client_ref,
     state.last_start_s = -1e18;
     ++open_clients_;
   }
-  DROPPKT_EXPECT(rec.start_s >= state.last_start_s,
-                 "StreamingMonitor: records must arrive in start-time order");
+  // A late record would break the start order the boundary scan and the
+  // pending window rely on: drop it and count it.
+  if (rec.start_s < state.last_start_s) {
+    late_ctr_->inc();
+    return;
+  }
 
   // Idle gap: the previous session ended long ago.
   if (!state.pending.empty() &&

@@ -115,6 +115,7 @@ struct MonitorMetrics {
   telemetry::Counter* provisionals = nullptr;
   telemetry::Counter* clients_evicted = nullptr;
   telemetry::Counter* sessions_noise_dropped = nullptr;
+  telemetry::Counter* records_late = nullptr;
 };
 
 struct MonitorConfig {
@@ -138,9 +139,11 @@ struct MonitorConfig {
 
 /// Online QoE monitoring over a proxy's TLS transaction feed.
 ///
-/// Records must arrive in global start-time order (the proxy's export
-/// order); interleaving across clients is expected. The estimator is
-/// borrowed and must outlive the monitor.
+/// Records should arrive in global start-time order (the proxy's export
+/// order), interleaved across clients. A record that starts before its
+/// open client's previous record is late: it is dropped and counted
+/// (records_late()), never thrown. The estimator is borrowed and must
+/// outlive the monitor.
 class StreamingMonitor {
  public:
   using ViewCallback = std::function<void(const MonitoredSessionView&)>;
@@ -223,6 +226,11 @@ class StreamingMonitor {
   std::size_t sessions_noise_dropped() const {
     return static_cast<std::size_t>(noise_ctr_->value());
   }
+  /// Records dropped for starting before their open client's previous
+  /// record.
+  std::size_t records_late() const {
+    return static_cast<std::size_t>(late_ctr_->value());
+  }
   std::size_t open_clients() const { return open_clients_; }
 
  private:
@@ -294,10 +302,12 @@ class StreamingMonitor {
   telemetry::Counter own_provisionals_;
   telemetry::Counter own_evicted_;
   telemetry::Counter own_noise_;
+  telemetry::Counter own_late_;
   telemetry::Counter* sessions_ctr_ = &own_sessions_;
   telemetry::Counter* provisionals_ctr_ = &own_provisionals_;
   telemetry::Counter* evicted_ctr_ = &own_evicted_;
   telemetry::Counter* noise_ctr_ = &own_noise_;
+  telemetry::Counter* late_ctr_ = &own_late_;
   // Scratch reused across emits/provisionals (observe is single-threaded
   // per monitor). emit_txns_ only ever grows, so element string capacity
   // survives.

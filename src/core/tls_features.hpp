@@ -59,8 +59,9 @@ std::vector<double> extract_tls_features(const trace::TlsLog& log,
 /// What a monitor would have exported by `horizon_s` after the session's
 /// first transaction: later transactions are dropped, and transactions
 /// still open at the horizon are clipped there with proportional byte
-/// shares. Used to study early detection (the paper notes TLS data is
-/// only complete once connections close — Section 4.3).
+/// shares. Truncation followed by extract_tls_features is the
+/// early-detection path (the paper notes TLS data is only complete once
+/// connections close — Section 4.3).
 trace::TlsLog truncate_tls_log(const trace::TlsLog& log, double horizon_s);
 
 }  // namespace droppkt::core

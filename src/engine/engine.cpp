@@ -75,10 +75,12 @@ IngestEngine::IngestEngine(const core::QoeEstimator& estimator,
     sh->monitor->use_external_pools(&sh->clients, &sh->snis);
     register_shard_metrics(*sh);
     // The monitor reports session lifecycle (sessions, provisionals,
-    // evictions, noise drops) straight into the shard's registry counters.
+    // evictions, noise drops, late records) straight into the shard's
+    // registry counters.
     sh->monitor->bind_telemetry(core::MonitorMetrics{
         sh->metrics.sessions, sh->metrics.provisionals,
-        sh->metrics.clients_evicted, sh->metrics.noise_dropped});
+        sh->metrics.clients_evicted, sh->metrics.noise_dropped,
+        sh->metrics.late});
     if (has_provisional_sink || config_.alert_sink) {
       // In-flight QoE fan-in mirrors the session sink: serialized across
       // shards by the same mutex (counting lives in the monitor).
@@ -155,6 +157,7 @@ void IngestEngine::register_shard_metrics(Shard& sh) {
   sh.metrics.provisionals = &r.counter(prefix + "provisionals");
   sh.metrics.clients_evicted = &r.counter(prefix + "clients_evicted");
   sh.metrics.noise_dropped = &r.counter(prefix + "noise_dropped");
+  sh.metrics.late = &r.counter(prefix + "late", "records");
   sh.metrics.dropped = &r.counter(prefix + "dropped", "records");
   sh.metrics.queue_depth = &r.gauge(prefix + "queue_depth", "records");
   sh.metrics.queue_high_water = &r.gauge(prefix + "queue_high_water", "records");
@@ -280,6 +283,7 @@ EngineStatsSnapshot IngestEngine::stats() const {
     s.provisionals = sh.metrics.provisionals->value();
     s.clients_evicted = sh.metrics.clients_evicted->value();
     s.sessions_noise_dropped = sh.metrics.noise_dropped->value();
+    s.records_late = sh.metrics.late->value();
     s.dropped = sh.queue.dropped();
     s.queue_depth = sh.queue.size();
     s.queue_high_water = sh.queue.high_water();
@@ -292,6 +296,7 @@ EngineStatsSnapshot IngestEngine::stats() const {
     snap.provisionals_reported += s.provisionals;
     snap.clients_evicted += s.clients_evicted;
     snap.sessions_noise_dropped += s.sessions_noise_dropped;
+    snap.records_late += s.records_late;
     snap.interned_clients += s.interned_clients;
     snap.interned_snis += s.interned_snis;
     snap.max_queue_high_water = std::max(snap.max_queue_high_water,

@@ -107,11 +107,13 @@ struct EngineConfig {
 /// Sharded multi-threaded ingest over a proxy's TLS transaction feed.
 ///
 /// ingest() / ingest_batch() must be called from one thread at a time (the
-/// proxy feed is a single ordered stream); records must arrive in global
-/// start-time order. The estimator is borrowed, must outlive the engine,
-/// and must be safe for concurrent predict() calls (it is: prediction is
-/// read-only). The sink is invoked from worker threads, one call at a
-/// time.
+/// proxy feed is a single ordered stream); records should arrive in global
+/// start-time order. A late record, one that starts before its client's
+/// previous record, is dropped and counted in the shard's monitor
+/// (EngineStatsSnapshot::records_late). The estimator is borrowed, must
+/// outlive the engine, and must be safe for concurrent predict() calls (it
+/// is: prediction is read-only). The sink is invoked from worker threads,
+/// one call at a time.
 class IngestEngine {
  public:
   /// Session sink: invoked with a borrowed view (valid only during the

@@ -33,9 +33,10 @@ std::string EngineStatsSnapshot::to_string() const {
   out += line;
   std::snprintf(line, sizeof(line),
                 "lifecycle: %llu clients evicted, %llu noise sessions "
-                "dropped\n",
+                "dropped, %llu late records dropped\n",
                 static_cast<unsigned long long>(clients_evicted),
-                static_cast<unsigned long long>(sessions_noise_dropped));
+                static_cast<unsigned long long>(sessions_noise_dropped),
+                static_cast<unsigned long long>(records_late));
   out += line;
   std::snprintf(line, sizeof(line),
                 "interned: %zu clients, %zu SNIs across shard pools\n",

@@ -25,7 +25,7 @@ namespace droppkt::engine {
 ///   ingest thread: enqueued
 ///   shard worker:  records, watermarks, latency — and, via the monitor's
 ///                  MonitorMetrics binding: sessions, provisionals,
-///                  clients_evicted, noise_dropped
+///                  clients_evicted, noise_dropped, late
 ///   refresh_gauges (any thread): dropped, queue_depth, queue_high_water,
 ///                  interned_clients, interned_snis — republished from
 ///                  their sources of truth (queue, pools).
@@ -37,6 +37,7 @@ struct ShardMetrics {
   telemetry::Counter* provisionals = nullptr;
   telemetry::Counter* clients_evicted = nullptr;
   telemetry::Counter* noise_dropped = nullptr;
+  telemetry::Counter* late = nullptr;
   telemetry::Counter* dropped = nullptr;
   telemetry::Gauge* queue_depth = nullptr;
   telemetry::Gauge* queue_high_water = nullptr;
@@ -57,6 +58,7 @@ struct ShardStatsSnapshot {
   std::uint64_t provisionals = 0;
   std::uint64_t clients_evicted = 0;         // idle-timeout evictions
   std::uint64_t sessions_noise_dropped = 0;  // below min_session_records
+  std::uint64_t records_late = 0;  // started before the client's last one
   std::uint64_t dropped = 0;
   std::size_t queue_depth = 0;
   std::size_t queue_high_water = 0;
@@ -74,6 +76,7 @@ struct EngineStatsSnapshot {
   std::uint64_t provisionals_reported = 0;  // in-flight estimates emitted
   std::uint64_t clients_evicted = 0;        // idle-timeout client evictions
   std::uint64_t sessions_noise_dropped = 0;  // too short to report
+  std::uint64_t records_late = 0;  // started before the client's last one
   std::size_t interned_clients = 0;  // distinct clients across shard pools
   std::size_t interned_snis = 0;     // distinct SNIs across shard pools
   std::size_t max_queue_high_water = 0;

@@ -181,22 +181,7 @@ class SpscQueue {
     }
   }
 
-  /// Consumer: dequeue, waiting for an element. Returns false only once the
-  /// queue has been close()d and fully drained.
-  DROPPKT_NOALLOC bool pop_wait(T& out) {
-    std::size_t spins = 0;
-    for (;;) {
-      if (try_pop(out)) return true;
-      if (closed_.load(std::memory_order_acquire)) {
-        return try_pop(out);  // drain anything pushed just before close()
-      }
-      if (++spins >= kSpinLimit) {
-        std::this_thread::yield();
-      }
-    }
-  }
-
-  /// Producer: no more push() calls will follow; wakes pop_wait().
+  /// Producer: no more push() calls will follow; wakes pop_wait_bulk().
   void close() { closed_.store(true, std::memory_order_release); }
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 

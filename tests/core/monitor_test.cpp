@@ -149,9 +149,22 @@ TEST(StreamingMonitor, TinySessionsDropped) {
 }
 
 TEST(StreamingMonitor, RejectsOutOfOrderPerClient) {
-  StreamingMonitor mon(kView, trained_estimator(), ignore);
+  // A record that starts before its client's previous one is dropped and
+  // counted, never thrown. Order is per client: another client's record
+  // at the same time is on time.
+  std::vector<MonitoredSession> out;
+  StreamingMonitor mon(kView, trained_estimator(), keep_into(out));
+  mon.observe("c", txn(0.0, "a"));
   mon.observe("c", txn(10.0, "a"));
-  EXPECT_THROW(mon.observe("c", txn(5.0, "a")), droppkt::ContractViolation);
+  EXPECT_NO_THROW(mon.observe("c", txn(5.0, "a")));
+  mon.observe("d", txn(5.0, "a"));
+  mon.observe("c", txn(15.0, "a"));
+  EXPECT_EQ(mon.records_late(), 1u);
+  mon.finish();
+  ASSERT_EQ(out.size(), 1u);  // "d" holds one record: noise
+  EXPECT_EQ(out[0].client, "c");
+  ASSERT_EQ(out[0].transactions.size(), 3u);
+  for (const auto& t : out[0].transactions) EXPECT_NE(t.start_s, 5.0);
 }
 
 TEST(StreamingMonitor, EndToEndBackToBackStreams) {

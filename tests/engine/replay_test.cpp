@@ -12,6 +12,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "alert/pipeline.hpp"
 #include "core/dataset_builder.hpp"
@@ -199,6 +200,35 @@ TEST(Replay, PacingFollowsTheManualClock) {
   // worth, are not paced).
   EXPECT_NEAR(rs.wall_seconds, (rs.last_s - rs.first_s) / 8.0,
               /*abs_error=*/15.0 / 8.0);
+}
+
+TEST(Replay, LateRecordIsCountedNotFatal) {
+  // One client, starts 0, 2, 1, 3 s: the decoder accepts the capture, and
+  // the record at 1 s is late. It must be dropped and counted on the
+  // shard, not escape a worker thread as an exception.
+  trace::FeedCapture capture;
+  for (const double start : {0.0, 2.0, 1.0, 3.0}) {
+    trace::CaptureEvent ev;
+    ev.client = "late-client";
+    ev.txn = {.start_s = start, .end_s = start + 1.0, .ul_bytes = 500.0,
+              .dl_bytes = 1e6, .sni = "video.example", .http_count = 1};
+    capture.push_back(ev);
+  }
+  const trace::FeedCapture decoded =
+      trace::read_feed_capture(trace::feed_capture_bytes(capture));
+  ASSERT_EQ(decoded.size(), 4u);
+
+  std::vector<std::size_t> session_records;
+  IngestEngine eng(shared_estimator(),
+                   [&](const core::MonitoredSessionView& s) {
+                     session_records.push_back(s.records.size());
+                   },
+                   engine_config(2, nullptr));
+  replay_capture(decoded, eng);
+  eng.finish();
+  EXPECT_EQ(eng.stats().records_late, 1u);
+  ASSERT_EQ(session_records.size(), 1u);
+  EXPECT_EQ(session_records[0], 3u);
 }
 
 TEST(Replay, ValidatesConfig) {

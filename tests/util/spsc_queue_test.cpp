@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/expect.hpp"
@@ -79,28 +80,38 @@ TEST(SpscQueue, HighWaterTracksDeepestOccupancy) {
   EXPECT_EQ(q.high_water(), 5u);
 }
 
+// Consumer side of the two-thread tests: drain `q` in blocks of up to
+// `block` elements, as the engine's shard workers do, until it is closed
+// and empty.
+template <typename T>
+std::vector<T> drain_blocks(SpscQueue<T>& q, std::size_t block) {
+  std::vector<T> got;
+  std::vector<T> buf(block);
+  for (;;) {
+    const std::size_t n = q.pop_wait_bulk(buf.data(), block);
+    if (n == 0) return got;
+    for (std::size_t i = 0; i < n; ++i) got.push_back(std::move(buf[i]));
+  }
+}
+
 TEST(SpscQueue, CloseWakesConsumerAfterDrain) {
   SpscQueue<int> q(8);
   q.push(1);
   q.push(2);
   q.close();
   int out = -1;
-  EXPECT_TRUE(q.pop_wait(out));
+  EXPECT_EQ(q.pop_wait_bulk(&out, 1), 1u);
   EXPECT_EQ(out, 1);
-  EXPECT_TRUE(q.pop_wait(out));
+  EXPECT_EQ(q.pop_wait_bulk(&out, 1), 1u);
   EXPECT_EQ(out, 2);
-  EXPECT_FALSE(q.pop_wait(out));  // closed and empty
+  EXPECT_EQ(q.pop_wait_bulk(&out, 1), 0u);  // closed and empty
 }
 
 TEST(SpscQueue, TwoThreadStressBlocking) {
   constexpr std::size_t kItems = 200000;
   SpscQueue<std::size_t> q(64);
   std::vector<std::size_t> got;
-  got.reserve(kItems);
-  std::thread consumer([&] {
-    std::size_t v = 0;
-    while (q.pop_wait(v)) got.push_back(v);
-  });
+  std::thread consumer([&] { got = drain_blocks(q, 16); });
   for (std::size_t i = 0; i < kItems; ++i) q.push(i);
   q.close();
   consumer.join();
@@ -116,11 +127,9 @@ TEST(SpscQueue, TwoThreadStressDropOldestKeepsOrderedSuffix) {
   constexpr std::size_t kItems = 100000;
   SpscQueue<std::size_t> q(16, BackpressurePolicy::kDropOldest);
   std::vector<std::size_t> got;
-  got.reserve(kItems);
-  std::thread consumer([&] {
-    std::size_t v = 0;
-    while (q.pop_wait(v)) got.push_back(v);
-  });
+  // Blocks of up to 8 on a 16-ring: the producer sheds the oldest element
+  // while the consumer claims a run of slots.
+  std::thread consumer([&] { got = drain_blocks(q, 8); });
   for (std::size_t i = 0; i < kItems; ++i) q.push(i);
   q.close();
   consumer.join();
@@ -198,15 +207,7 @@ TEST(SpscQueue, TwoThreadBulkStressBlocking) {
   constexpr std::size_t kBlock = 37;  // non-power-of-two on a 64-ring
   SpscQueue<std::size_t> q(64);
   std::vector<std::size_t> got;
-  got.reserve(kItems);
-  std::thread consumer([&] {
-    std::size_t buf[kBlock];
-    for (;;) {
-      const std::size_t n = q.pop_wait_bulk(buf, kBlock);
-      if (n == 0) break;
-      got.insert(got.end(), buf, buf + n);
-    }
-  });
+  std::thread consumer([&] { got = drain_blocks(q, kBlock); });
   std::size_t block[kBlock];
   std::size_t next = 0;
   while (next < kItems) {
@@ -225,17 +226,15 @@ TEST(SpscQueue, TwoThreadBulkStressBlocking) {
 
 TEST(SpscQueue, MovesNonTrivialPayloads) {
   SpscQueue<std::string> q(8);
-  std::thread consumer([&] {
-    std::string s;
-    std::size_t n = 0;
-    while (q.pop_wait(s)) {
-      ASSERT_EQ(s, "payload-" + std::to_string(n++));
-    }
-    EXPECT_EQ(n, 5000u);
-  });
+  std::vector<std::string> got;
+  std::thread consumer([&] { got = drain_blocks(q, 3); });
   for (int i = 0; i < 5000; ++i) q.push("payload-" + std::to_string(i));
   q.close();
   consumer.join();
+  ASSERT_EQ(got.size(), 5000u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], "payload-" + std::to_string(i));
+  }
 }
 
 }  // namespace

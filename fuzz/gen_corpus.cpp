@@ -17,13 +17,9 @@
 
 #include "core/estimator.hpp"
 #include "engine/feed.hpp"
-#include "engine/replay.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/wire.hpp"
-#include "trace/capture.hpp"
 #include "trace/records.hpp"
-#include "trace/serialize.hpp"
-#include "util/csv.hpp"
 
 namespace {
 
@@ -109,31 +105,6 @@ int main(int argc, char** argv) {
                "18446744073709551615\tsni\n");
   }
 
-  // --- csv: output of CsvTable::write and write_tls_csv ----------------
-  {
-    const fs::path dir = root / "csv";
-    {
-      droppkt::util::CsvTable table({"name", "value", "note"});
-      table.add_row({"plain", "1.25", "no quoting"});
-      table.add_row({"comma", "2", "a,b"});
-      table.add_row({"quote", "3", "say \"hi\""});
-      table.add_row({"newline", "4", "line1\nline2"});
-      table.add_row({"", "-0.0", ""});
-      std::ostringstream os;
-      table.write(os);
-      write_seed(dir, "seed-quoting.csv", os.str());
-    }
-    {
-      TlsLog log;
-      log.push_back(txn(0.0, 1.0, 100.0, 5.0e5, 2, "video.example.com"));
-      log.push_back(txn(1.5, 2.0, 200.0, 7.5e5, 3, "a,b\"c"));
-      std::ostringstream os;
-      droppkt::trace::write_tls_csv(log, os);
-      write_seed(dir, "seed-tls-log.csv", os.str());
-    }
-    write_seed(dir, "seed-header-only.csv", "alpha,beta\n");
-  }
-
   // --- model: QoeEstimator::save of tiny estimators ------------------
   {
     const fs::path dir = root / "model";
@@ -205,43 +176,6 @@ int main(int argc, char** argv) {
       tm::tm_write_directory(out, entries);
       tm::tm_write_interval(out, iv);
       write_seed(dir, "seed-directory-interval.bin", out);
-    }
-  }
-
-  // --- feed_capture: DPFC files from capture_feed / the writer ----------
-  {
-    const fs::path dir = root / "feed_capture";
-    write_seed(dir, "seed-empty.dpfc",
-               droppkt::trace::feed_capture_bytes({}));
-    {
-      droppkt::engine::Feed feed;
-      feed.push_back({"loc0-client0", txn(0.0, 2.0, 800.0, 1.2e6, 4,
-                                          "video.example.com")});
-      feed.push_back({"loc0-client1", txn(5.0, 9.5, 950.25, 2.5e6, 7, "")});
-      feed.push_back({"loc1-client0", txn(20.0, 21.5, 400.0, 9.0e5, 2,
-                                          "cdn.example.net")});
-      droppkt::engine::CaptureConfig ccfg;
-      ccfg.marker_interval_s = 10.0;
-      const droppkt::trace::FeedCapture capture =
-          droppkt::engine::capture_feed(feed, ccfg);
-      write_seed(dir, "seed-markers.dpfc",
-                 droppkt::trace::feed_capture_bytes(capture));
-    }
-    {
-      droppkt::trace::FeedCapture capture;
-      droppkt::trace::CaptureEvent rec;
-      rec.kind = droppkt::trace::CaptureEvent::Kind::kRecord;
-      rec.client = std::string(4096, 'c');
-      rec.txn = txn(-10.0, 1e9, 0.5, 6.02e23, 1000000,
-                    std::string(300, 'a') + ".example");
-      capture.push_back(rec);
-      droppkt::trace::CaptureEvent mk;
-      mk.kind = droppkt::trace::CaptureEvent::Kind::kMarker;
-      mk.marker_seq = 18446744073709551615ull;
-      mk.marker_time_s = 1e12;
-      capture.push_back(mk);
-      write_seed(dir, "seed-extremes.dpfc",
-                 droppkt::trace::feed_capture_bytes(capture));
     }
   }
 

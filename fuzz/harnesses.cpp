@@ -11,8 +11,6 @@
 #include "core/estimator.hpp"
 #include "engine/feed.hpp"
 #include "telemetry/wire.hpp"
-#include "trace/capture.hpp"
-#include "util/csv.hpp"
 #include "util/expect.hpp"
 
 namespace droppkt::fuzz {
@@ -58,48 +56,6 @@ int one_feed_line(const std::uint8_t* data, std::size_t size) {
     }
     if (back.client != rec.client || !txn_equal(back.txn, rec.txn)) {
       harness_fail("feed_line", "round-trip changed the record");
-    }
-  }
-  return 0;
-}
-
-int one_csv(const std::uint8_t* data, std::size_t size) {
-  util::CsvTable table;
-  {
-    std::istringstream is(as_text(data, size));
-    try {
-      table = util::CsvTable::read(is);
-    } catch (const ParseError&) {
-      return 0;
-    }
-  }
-  // Accessors over the whole accepted table must stay in bounds.
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    for (std::size_t c = 0; c < table.num_cols(); ++c) {
-      (void)table.at(r, c);
-      try {
-        (void)table.at_double(r, c);
-      } catch (const ContractViolation&) {
-        // non-numeric cell: a typed error, not a crash
-      }
-    }
-  }
-  // Write + re-read must reproduce the table exactly.
-  std::ostringstream os;
-  table.write(os);
-  std::istringstream back_in(os.str());
-  util::CsvTable back;
-  try {
-    back = util::CsvTable::read(back_in);
-  } catch (const ParseError&) {
-    harness_fail("csv", "writer output rejected by the reader");
-  }
-  if (back.header() != table.header() || back.num_rows() != table.num_rows()) {
-    harness_fail("csv", "round-trip changed the table shape");
-  }
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    if (back.row(r) != table.row(r)) {
-      harness_fail("csv", "round-trip changed a row");
     }
   }
   return 0;
@@ -165,42 +121,6 @@ int one_telemetry_wire(const std::uint8_t* data, std::size_t size) {
   }
   if (back != frames) {
     harness_fail("telemetry_wire", "round-trip changed the frames");
-  }
-  return 0;
-}
-
-int one_feed_capture(const std::uint8_t* data, std::size_t size) {
-  trace::FeedCapture capture;
-  try {
-    capture =
-        trace::read_feed_capture(std::span<const std::uint8_t>(data, size));
-  } catch (const ParseError&) {
-    return 0;
-  }
-  // Reader and writer must agree on the format limits: every accepted
-  // capture re-serializes (no ContractViolation) and reads back equal.
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = trace::feed_capture_bytes(capture);
-  } catch (const ContractViolation&) {
-    harness_fail("feed_capture", "reader accepted an event the writer rejects");
-  }
-  trace::FeedCapture back;
-  try {
-    back = trace::read_feed_capture(std::span<const std::uint8_t>(bytes));
-  } catch (const ParseError&) {
-    harness_fail("feed_capture", "writer output rejected by the reader");
-  }
-  if (back.size() != capture.size()) {
-    harness_fail("feed_capture", "round-trip changed the event count");
-  }
-  for (std::size_t i = 0; i < capture.size(); ++i) {
-    const auto& a = capture[i];
-    const auto& b = back[i];
-    if (a.kind != b.kind || a.client != b.client || !txn_equal(a.txn, b.txn) ||
-        a.marker_seq != b.marker_seq || a.marker_time_s != b.marker_time_s) {
-      harness_fail("feed_capture", "round-trip changed an event");
-    }
   }
   return 0;
 }

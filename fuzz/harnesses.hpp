@@ -20,10 +20,6 @@ namespace droppkt::fuzz {
 /// round-trip bit-exactly through write_feed_line.
 int one_feed_line(const std::uint8_t* data, std::size_t size);
 
-/// CSV table: parse; exercise accessors; successful parses must survive
-/// write + re-read with identical header and rows.
-int one_csv(const std::uint8_t* data, std::size_t size);
-
 /// Estimator model file (the one format serving nodes load): offered to
 /// core::QoeEstimator::load; anything accepted must predict a
 /// feature_count() row and a TLS log without any exception, and its
@@ -34,9 +30,5 @@ int one_model(const std::uint8_t* data, std::size_t size);
 /// skipped via their length prefix), re-encode the decoded frames with
 /// tm_encode_frames, re-decode, compare frame-for-frame.
 int one_telemetry_wire(const std::uint8_t* data, std::size_t size);
-
-/// DPFC v1 feed capture: decode, re-serialize via feed_capture_bytes,
-/// re-decode, compare event-for-event.
-int one_feed_capture(const std::uint8_t* data, std::size_t size);
 
 }  // namespace droppkt::fuzz

@@ -161,6 +161,9 @@ class IngestEngine {
 
   std::size_t num_shards() const { return shards_.size(); }
 
+  /// Feed-time spacing of the low-watermark broadcasts.
+  double watermark_interval_s() const { return config_.watermark_interval_s; }
+
   /// Which shard a client's records are routed to.
   std::size_t shard_of(std::string_view client) const;
 

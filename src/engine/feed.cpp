@@ -28,9 +28,6 @@ void sort_feed(Feed& feed) {
 
 namespace {
 
-// A proxy export line is a few hundred bytes; a megabyte "line" is either
-// corruption or hostile input, and capping it bounds parser allocations.
-constexpr std::size_t kMaxLineBytes = 1 << 20;
 constexpr std::size_t kMaxFieldBytes = 64 * 1024;
 
 [[noreturn]] void feed_fail(const std::string& what) {
@@ -58,6 +55,31 @@ std::uint64_t parse_count(std::string_view field, const char* what) {
               std::string(field) + "'");
   }
   return v;
+}
+
+/// std::getline with a ceiling: reads the next line (without its '\n')
+/// into `line`, and throws once the line holds more than any feed line
+/// parse_feed_line accepts (kMaxLineBytes plus a CRLF's '\r'), before
+/// buffering the rest of it. Returns false at the end of the stream.
+bool getline_bounded(std::istream& is, std::string& line,
+                     std::size_t line_no) {
+  using traits = std::istream::traits_type;
+  line.clear();
+  std::streambuf* in = is.rdbuf();
+  if (in == nullptr) return false;
+  for (;;) {
+    const traits::int_type c = in->sbumpc();
+    if (traits::eq_int_type(c, traits::eof())) {
+      is.setstate(std::ios::eofbit);
+      return !line.empty();
+    }
+    if (traits::to_char_type(c) == '\n') return true;
+    if (line.size() > kMaxLineBytes) {
+      throw ParseError("read_feed: line " + std::to_string(line_no) +
+                       ": line exceeds the size limit");
+    }
+    line.push_back(traits::to_char_type(c));
+  }
 }
 
 }  // namespace
@@ -127,7 +149,7 @@ Feed read_feed(std::istream& is) {
   Feed feed;
   std::string line;
   std::size_t line_no = 0;
-  while (std::getline(is, line)) {
+  while (getline_bounded(is, line, line_no + 1)) {
     ++line_no;
     if (line.empty() || line == "\r") continue;
     try {

@@ -1,6 +1,9 @@
-// Proxy-feed construction helpers for the ingest engine's bench, tests
-// and examples: one globally time-ordered stream of (client, transaction)
-// records, as a transparent proxy would export it.
+// The proxy feed: one globally time-ordered stream of (client,
+// transaction) records, as a transparent proxy would export it. Its text
+// form, one feed line per record, is the repo's one on-disk record
+// format: droppkt_replay records and replays feed-line files, and
+// classify_log reads one session's log from one. The builders below make
+// feeds for the benches, tests and examples.
 #pragma once
 
 #include <cstddef>
@@ -26,20 +29,28 @@ using Feed = std::vector<FeedRecord>;
 /// Stable sort by transaction start time (the proxy's export order).
 void sort_feed(Feed& feed);
 
-/// Text wire format for a live proxy feed: one tab-separated line per
-/// record — client, start_s, end_s, ul_bytes, dl_bytes, http_count, sni.
-/// This is what a Squid-style proxy tails into the ingest engine, so the
-/// parser treats every line as untrusted: malformed field counts, bad
-/// numbers, oversized fields, or inverted timestamps raise
-/// droppkt::ParseError (fuzz/fuzz_feed_line.cpp enforces crash-freedom).
+/// Text format of a proxy feed: one tab-separated line per record —
+/// client, start_s, end_s, ul_bytes, dl_bytes, http_count, sni — with
+/// every number written at full round-trip precision. This is what a
+/// Squid-style proxy tails into the ingest engine, so the parser treats
+/// every line as untrusted: malformed field counts, bad numbers,
+/// oversized fields, or inverted timestamps raise droppkt::ParseError
+/// (fuzz/fuzz_feed_line.cpp enforces crash-freedom).
 void write_feed_line(const FeedRecord& record, std::ostream& os);
 void write_feed(const Feed& feed, std::ostream& os);
+
+/// Longest line parse_feed_line accepts, after stripping one trailing
+/// '\r'. A proxy export line is a few hundred bytes; a megabyte "line"
+/// is corruption or hostile input.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Parse one feed line. Throws droppkt::ParseError on malformed input.
 FeedRecord parse_feed_line(std::string_view line);
 
 /// Parse a whole feed stream (blank lines skipped). Throws ParseError with
-/// the 1-based line number on the first malformed line.
+/// the 1-based line number on the first malformed line. A line is
+/// rejected as soon as it outgrows kMaxLineBytes, so a stream that never
+/// sends a newline is read no further than the limit.
 Feed read_feed(std::istream& is);
 
 /// Simulation-backed feed: `num_clients` subscribers each stream

@@ -7,44 +7,11 @@
 
 namespace droppkt::engine {
 
-trace::FeedCapture capture_feed(std::span<const FeedRecord> feed,
-                                const CaptureConfig& config) {
-  DROPPKT_EXPECT(config.marker_interval_s > 0.0,
-                 "capture_feed: marker interval must be positive");
-  trace::FeedCapture out;
-  out.reserve(feed.size() + feed.size() / 16 + 2);
-  std::uint64_t seq = 0;
-  double last_marker_s = 0.0;
-  bool saw_record = false;
-  for (const FeedRecord& r : feed) {
-    // Mirror of the engine's watermark cadence: a marker before the first
-    // record and before every record that crosses the interval — so the
-    // replayed marker instants land exactly where the live watermark
-    // broadcasts did.
-    if (!saw_record ||
-        r.txn.start_s - last_marker_s >= config.marker_interval_s) {
-      trace::CaptureEvent m;
-      m.kind = trace::CaptureEvent::Kind::kMarker;
-      m.marker_seq = seq++;
-      m.marker_time_s = r.txn.start_s;
-      out.push_back(std::move(m));
-      last_marker_s = r.txn.start_s;
-      saw_record = true;
-    }
-    trace::CaptureEvent ev;
-    ev.kind = trace::CaptureEvent::Kind::kRecord;
-    ev.client = r.client;
-    ev.txn = r.txn;
-    out.push_back(std::move(ev));
-  }
-  return out;
-}
-
-ReplayStats replay_capture(const trace::FeedCapture& capture,
-                           IngestEngine& engine, const ReplayConfig& config) {
-  DROPPKT_EXPECT(config.batch >= 1, "replay_capture: batch must be >= 1");
+ReplayStats replay_feed(std::span<const FeedRecord> feed, IngestEngine& engine,
+                        const ReplayConfig& config) {
+  DROPPKT_EXPECT(config.batch >= 1, "replay_feed: batch must be >= 1");
   DROPPKT_EXPECT(config.time_scale >= 0.0,
-                 "replay_capture: time scale must be >= 0");
+                 "replay_feed: time scale must be >= 0");
   auto now_ns = config.now_ns;
   if (!now_ns) {
     now_ns = [] {
@@ -62,53 +29,43 @@ ReplayStats replay_capture(const trace::FeedCapture& capture,
   }
 
   ReplayStats stats;
-  std::vector<FeedRecord> staging;
-  staging.reserve(config.batch);
+  if (!feed.empty()) {
+    stats.first_s = feed.front().txn.start_s;
+    stats.last_s = feed.back().txn.start_s;
+  }
+  const double interval_s = engine.watermark_interval_s();
   const std::uint64_t wall0_ns = now_ns();
-  double feed0_s = 0.0;
-  bool saw_marker = false;
-  bool saw_record = false;
-  const auto flush = [&] {
-    if (staging.empty()) return;
-    engine.ingest_batch(staging);
-    staging.clear();
+  double last_tick_s = 0.0;
+  std::size_t begin = 0;  // first record not yet offered to the engine
+  const auto flush = [&](std::size_t end) {
+    if (end > begin) engine.ingest_batch(feed.subspan(begin, end - begin));
+    begin = end;
   };
-  for (const trace::CaptureEvent& ev : capture) {
-    if (ev.kind == trace::CaptureEvent::Kind::kRecord) {
-      DROPPKT_EXPECT(!ev.client.empty(),
-                     "replay_capture: record event with empty client");
-      if (!saw_record) {
-        stats.first_s = ev.txn.start_s;
-        saw_record = true;
-      }
-      stats.last_s = ev.txn.start_s;
-      staging.push_back(FeedRecord{ev.client, ev.txn});
-      if (staging.size() >= config.batch) flush();
-      ++stats.records;
-    } else {
-      // Pace at markers only: the flush keeps record order intact, the
-      // sleep (if any) merely delays when the next span is offered — the
-      // engine's outputs cannot observe the difference.
-      flush();
-      ++stats.markers;
+  for (std::size_t i = 0; i < feed.size(); ++i) {
+    const double start_s = feed[i].txn.start_s;
+    // Mirror of the engine's watermark cadence. Pace at ticks only: the
+    // flush keeps record order intact, the sleep (if any) merely delays
+    // when the next span is offered — the engine's outputs cannot observe
+    // the difference.
+    if (stats.ticks == 0 || start_s - last_tick_s >= interval_s) {
+      flush(i);
+      last_tick_s = start_s;
+      ++stats.ticks;
       if (config.time_scale > 0.0) {
-        if (!saw_marker) {
-          feed0_s = ev.marker_time_s;
-          saw_marker = true;
-        }
-        const double feed_elapsed_s = ev.marker_time_s - feed0_s;
-        const double target_ns = feed_elapsed_s / config.time_scale * 1e9;
+        const double target_ns =
+            (start_s - stats.first_s) / config.time_scale * 1e9;
         const std::uint64_t elapsed_ns = now_ns() - wall0_ns;
         if (target_ns > static_cast<double>(elapsed_ns)) {
           sleep_ns(static_cast<std::uint64_t>(target_ns) - elapsed_ns);
         }
       }
-      if (config.on_marker) config.on_marker(ev);
+      if (config.on_tick) config.on_tick(start_s);
     }
+    if (i + 1 - begin >= config.batch) flush(i + 1);
   }
-  flush();
-  stats.wall_seconds =
-      static_cast<double>(now_ns() - wall0_ns) / 1e9;
+  flush(feed.size());
+  stats.records = feed.size();
+  stats.wall_seconds = static_cast<double>(now_ns() - wall0_ns) / 1e9;
   return stats;
 }
 

@@ -30,9 +30,9 @@ constexpr std::uint64_t kMinLocationBytes = 2 + 1 + 3 * 8 + 1;
   throw ParseError("tm_decode: " + what);
 }
 
-/// Bounds-checked cursor over the untrusted buffer; same contract as the
-/// DPFC reader in trace/capture.cpp — every length is widened to u64
-/// before comparison so narrow attacker-supplied fields cannot wrap.
+/// Bounds-checked cursor over the untrusted buffer: every length is
+/// widened to u64 before comparison so narrow attacker-supplied fields
+/// cannot wrap.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> buf) : buf_(buf) {}

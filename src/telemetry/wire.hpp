@@ -23,7 +23,7 @@
 //     prefix; anything truncated or over-limit raises ParseError.
 //
 // All integers are little-endian (the native layout of every platform the
-// repo targets; matches the DPFC capture format in trace/capture).
+// repo targets).
 //
 // Decoders follow the PR-3 hardening rules: u64-widened bounds checks,
 // count-versus-remaining-bytes validation before any reserve, typed

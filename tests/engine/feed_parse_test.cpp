@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +137,40 @@ TEST(Feed, ReadReportsOneBasedLineNumber) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
   }
+}
+
+/// Serves `total` bytes of 'a' (no newline), one `chunk`-sized buffer at a
+/// time, and counts the bytes it has handed out.
+class EndlessLineBuf : public std::streambuf {
+ public:
+  EndlessLineBuf(std::size_t total, std::size_t chunk)
+      : remaining_(total), chunk_(chunk, 'a') {}
+  std::size_t served() const { return served_; }
+
+ protected:
+  int_type underflow() override {
+    if (remaining_ == 0) return traits_type::eof();
+    const std::size_t n = std::min(remaining_, chunk_.size());
+    remaining_ -= n;
+    served_ += n;
+    setg(chunk_.data(), chunk_.data(), chunk_.data() + n);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  std::size_t remaining_;
+  std::size_t served_ = 0;
+  std::vector<char> chunk_;
+};
+
+TEST(Feed, ReadStopsAtTheLineLimit) {
+  // A pipe that never sends a newline must not be buffered whole: the
+  // reader gives up once the line outgrows kMaxLineBytes.
+  constexpr std::size_t kChunk = 64 * 1024;
+  EndlessLineBuf buf(64u << 20, kChunk);
+  std::istream is(&buf);
+  EXPECT_THROW(read_feed(is), ParseError);
+  EXPECT_LE(buf.served(), kMaxLineBytes + kChunk);
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
-// Record/replay determinism: a DPFC capture replayed through a fresh
-// engine must reproduce the live run's alert sequence byte-for-byte and
-// its final stats counters exactly — for any shard count, batch size and
-// time scale. Pacing (ReplayConfig::time_scale) may only change *when*
-// batches are offered to ingest, never which records or their order, so
-// the replay output is clock-independent; a ManualClock behind the
-// now_ns/sleep_ns seams keeps these tests instant and deterministic.
+// Record/replay determinism: a feed written as feed lines, read back and
+// replayed through a fresh engine must reproduce the live run's alert
+// sequence byte-for-byte and its final stats counters exactly — for any
+// shard count, batch size and time scale. Pacing
+// (ReplayConfig::time_scale) may only change *when* batches are offered
+// to ingest, never which records or their order, so the replay output is
+// clock-independent; a ManualClock behind the now_ns/sleep_ns seams
+// keeps these tests instant and deterministic.
 #include "engine/replay.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,7 +22,6 @@
 #include "engine/feed.hpp"
 #include "has/service_profile.hpp"
 #include "telemetry/clock.hpp"
-#include "trace/capture.hpp"
 #include "util/expect.hpp"
 
 namespace droppkt::engine {
@@ -104,8 +105,16 @@ RunResult run_live() {
   return {canon_of(alerts), eng.stats()};
 }
 
-RunResult run_replay(const trace::FeedCapture& capture, std::size_t shards,
-                     double time_scale, std::size_t batch = 256) {
+/// The feed as droppkt_replay records and reads it: write_feed, then
+/// read_feed.
+Feed round_trip(const Feed& feed) {
+  std::stringstream ss;
+  write_feed(feed, ss);
+  return read_feed(ss);
+}
+
+RunResult run_replay(const Feed& feed, std::size_t shards, double time_scale,
+                     std::size_t batch = 256) {
   alert::AlertPipeline alerts(alert_config());
   IngestEngine eng(shared_estimator(),
                    [](const core::MonitoredSessionView&) {},
@@ -116,7 +125,7 @@ RunResult run_replay(const trace::FeedCapture& capture, std::size_t shards,
   rcfg.batch = batch;
   rcfg.now_ns = clock.fn();
   rcfg.sleep_ns = [&clock](std::uint64_t ns) { clock.advance(ns); };
-  replay_capture(capture, eng, rcfg);
+  replay_feed(feed, eng, rcfg);
   eng.finish();
   return {canon_of(alerts), eng.stats()};
 }
@@ -132,29 +141,33 @@ void expect_same_outcome(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.stats.alerts_cleared, b.stats.alerts_cleared);
 }
 
-TEST(Replay, CaptureInterleavesMarkersAtWatermarkCadence) {
-  const trace::FeedCapture capture = capture_feed(shared_feed());
-  ASSERT_FALSE(capture.empty());
-  // A marker precedes the first record, marker seqs are dense, marker
-  // times are non-decreasing, and every record of the feed is present in
-  // feed order.
-  EXPECT_EQ(capture[0].kind, trace::CaptureEvent::Kind::kMarker);
-  std::uint64_t next_marker_seq = 0;
-  double last_marker_s = -1e300;
-  std::size_t records = 0;
-  for (const auto& ev : capture) {
-    if (ev.kind == trace::CaptureEvent::Kind::kMarker) {
-      EXPECT_EQ(ev.marker_seq, next_marker_seq++);
-      EXPECT_GE(ev.marker_time_s, last_marker_s);
-      last_marker_s = ev.marker_time_s;
-    } else {
-      EXPECT_EQ(ev.client, shared_feed()[records].client);
-      EXPECT_EQ(ev.txn.start_s, shared_feed()[records].txn.start_s);
-      ++records;
-    }
+TEST(Replay, TicksAtWatermarkCadence) {
+  // A tick comes before the first record, tick times never decrease, and
+  // there is one tick per watermark the engine broadcast to each shard.
+  IngestEngine eng(shared_estimator(),
+                   [](const core::MonitoredSessionView&) {},
+                   engine_config(3, nullptr));
+  std::vector<double> ticks;
+  std::vector<std::uint64_t> ingested_at_tick;
+  ReplayConfig rcfg;
+  rcfg.batch = 64;
+  rcfg.on_tick = [&](double tick_s) {
+    ticks.push_back(tick_s);
+    ingested_at_tick.push_back(eng.stats().records_ingested);
+  };
+  const ReplayStats rs = replay_feed(shared_feed(), eng, rcfg);
+  eng.finish();
+  ASSERT_GE(ticks.size(), 2u);
+  EXPECT_EQ(rs.ticks, ticks.size());
+  EXPECT_EQ(rs.records, shared_feed().size());
+  EXPECT_EQ(ingested_at_tick.front(), 0u);
+  EXPECT_EQ(ticks.front(), shared_feed().front().txn.start_s);
+  for (std::size_t i = 1; i < ticks.size(); ++i) {
+    EXPECT_GE(ticks[i] - ticks[i - 1], eng.watermark_interval_s());
   }
-  EXPECT_EQ(records, shared_feed().size());
-  EXPECT_GE(next_marker_seq, 2u);
+  for (const auto& shard : eng.stats().shards) {
+    EXPECT_EQ(shard.watermarks, ticks.size());
+  }
 }
 
 TEST(Replay, ReproducesLiveAlertSequenceByteForByte) {
@@ -162,20 +175,18 @@ TEST(Replay, ReproducesLiveAlertSequenceByteForByte) {
   // A gate that passes vacuously on an alert-free run proves nothing.
   ASSERT_NE(live.alert_canon.find("RAISED"), std::string::npos);
 
-  const trace::FeedCapture capture = capture_feed(shared_feed());
-  expect_same_outcome(live, run_replay(capture, 2, /*time_scale=*/1.0));
-  expect_same_outcome(live, run_replay(capture, 2, /*time_scale=*/8.0));
+  const Feed recorded = round_trip(shared_feed());
+  expect_same_outcome(live, run_replay(recorded, 2, /*time_scale=*/1.0));
+  expect_same_outcome(live, run_replay(recorded, 2, /*time_scale=*/8.0));
 }
 
 TEST(Replay, OutcomeIndependentOfShardsBatchAndPacing) {
-  const trace::FeedCapture capture = capture_feed(shared_feed());
-  const RunResult base = run_replay(capture, 1, /*time_scale=*/0.0);
-  expect_same_outcome(base, run_replay(capture, 4, 0.0, /*batch=*/1));
-  expect_same_outcome(base, run_replay(capture, 3, 64.0, /*batch=*/7));
+  const RunResult base = run_replay(shared_feed(), 1, /*time_scale=*/0.0);
+  expect_same_outcome(base, run_replay(shared_feed(), 4, 0.0, /*batch=*/1));
+  expect_same_outcome(base, run_replay(shared_feed(), 3, 64.0, /*batch=*/7));
 }
 
 TEST(Replay, PacingFollowsTheManualClock) {
-  const trace::FeedCapture capture = capture_feed(shared_feed());
   telemetry::ManualClock clock;
   alert::AlertPipeline alerts(alert_config());
   IngestEngine eng(shared_estimator(),
@@ -185,37 +196,33 @@ TEST(Replay, PacingFollowsTheManualClock) {
   rcfg.time_scale = 8.0;
   rcfg.now_ns = clock.fn();
   rcfg.sleep_ns = [&clock](std::uint64_t ns) { clock.advance(ns); };
-  std::size_t markers_seen = 0;
-  rcfg.on_marker = [&](const trace::CaptureEvent& ev) {
-    EXPECT_EQ(ev.kind, trace::CaptureEvent::Kind::kMarker);
-    ++markers_seen;
-  };
-  const ReplayStats rs = replay_capture(capture, eng, rcfg);
+  std::size_t ticks_seen = 0;
+  rcfg.on_tick = [&](double) { ++ticks_seen; };
+  const ReplayStats rs = replay_feed(shared_feed(), eng, rcfg);
   eng.finish();
   EXPECT_EQ(rs.records, shared_feed().size());
-  EXPECT_EQ(rs.markers, markers_seen);
+  EXPECT_EQ(rs.ticks, ticks_seen);
   // Processing is instant under the manual clock, so the wall time is
-  // exactly the pacing sleeps: the span up to the LAST MARKER compressed
-  // by the time scale (records after it, at most one marker interval's
+  // exactly the pacing sleeps: the span up to the LAST TICK compressed
+  // by the time scale (records after it, at most one watermark interval's
   // worth, are not paced).
   EXPECT_NEAR(rs.wall_seconds, (rs.last_s - rs.first_s) / 8.0,
               /*abs_error=*/15.0 / 8.0);
 }
 
 TEST(Replay, LateRecordIsCountedNotFatal) {
-  // One client, starts 0, 2, 1, 3 s: the decoder accepts the capture, and
+  // One client, starts 0, 2, 1, 3 s: the reader accepts the feed, and
   // the record at 1 s is late. It must be dropped and counted on the
   // shard, not escape a worker thread as an exception.
-  trace::FeedCapture capture;
+  Feed feed;
   for (const double start : {0.0, 2.0, 1.0, 3.0}) {
-    trace::CaptureEvent ev;
-    ev.client = "late-client";
-    ev.txn = {.start_s = start, .end_s = start + 1.0, .ul_bytes = 500.0,
-              .dl_bytes = 1e6, .sni = "video.example", .http_count = 1};
-    capture.push_back(ev);
+    FeedRecord r;
+    r.client = "late-client";
+    r.txn = {.start_s = start, .end_s = start + 1.0, .ul_bytes = 500.0,
+             .dl_bytes = 1e6, .sni = "video.example", .http_count = 1};
+    feed.push_back(r);
   }
-  const trace::FeedCapture decoded =
-      trace::read_feed_capture(trace::feed_capture_bytes(capture));
+  const Feed decoded = round_trip(feed);
   ASSERT_EQ(decoded.size(), 4u);
 
   std::vector<std::size_t> session_records;
@@ -224,7 +231,7 @@ TEST(Replay, LateRecordIsCountedNotFatal) {
                      session_records.push_back(s.records.size());
                    },
                    engine_config(2, nullptr));
-  replay_capture(decoded, eng);
+  replay_feed(decoded, eng);
   eng.finish();
   EXPECT_EQ(eng.stats().records_late, 1u);
   ASSERT_EQ(session_records.size(), 1u);
@@ -232,17 +239,16 @@ TEST(Replay, LateRecordIsCountedNotFatal) {
 }
 
 TEST(Replay, ValidatesConfig) {
-  const trace::FeedCapture capture = capture_feed(shared_feed());
   alert::AlertPipeline alerts(alert_config());
   IngestEngine eng(shared_estimator(),
                    [](const core::MonitoredSessionView&) {},
                    engine_config(1, &alerts));
   ReplayConfig bad_batch;
   bad_batch.batch = 0;
-  EXPECT_THROW(replay_capture(capture, eng, bad_batch), ContractViolation);
+  EXPECT_THROW(replay_feed(shared_feed(), eng, bad_batch), ContractViolation);
   ReplayConfig bad_scale;
   bad_scale.time_scale = -1.0;
-  EXPECT_THROW(replay_capture(capture, eng, bad_scale), ContractViolation);
+  EXPECT_THROW(replay_feed(shared_feed(), eng, bad_scale), ContractViolation);
   eng.finish();
 }
 

@@ -2,12 +2,15 @@
 // scale so the suite stays fast. The bench binaries run the full scale.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "core/estimator.hpp"
 #include "core/pipeline.hpp"
 #include "core/session_id.hpp"
+#include "engine/feed.hpp"
 #include "net/link_model.hpp"
 #include "trace/packet_generator.hpp"
-#include "trace/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace droppkt::core {
@@ -111,17 +114,26 @@ TEST(EndToEnd, TlsCoarsenessMatchesPaperScale) {
   EXPECT_LT(http_per_tls, 40.0);
 }
 
-TEST(EndToEnd, ProxyCsvRoundTripFeedsEstimator) {
-  // Deployment path: TLS logs serialized by a proxy, re-read, classified.
+TEST(EndToEnd, ProxyFeedRoundTripFeedsEstimator) {
+  // Deployment path: TLS logs written by a proxy as feed lines, re-read
+  // from the file, classified.
   const auto train = dataset(has::svc1_profile(), 200, 7);
   QoeEstimator est;
   est.train(train);
 
   const auto test = dataset(has::svc1_profile(), 20, 8);
-  const std::string path = ::testing::TempDir() + "/droppkt_e2e.csv";
+  const std::string path = ::testing::TempDir() + "/droppkt_e2e.feed";
   for (const auto& s : test) {
-    trace::write_tls_csv_file(s.record.tls, path);
-    const auto back = trace::read_tls_csv_file(path);
+    {
+      std::ofstream os(path);
+      for (const auto& t : s.record.tls) {
+        engine::write_feed_line({"subscriber", t}, os);
+      }
+    }
+    std::ifstream is(path);
+    trace::TlsLog back;
+    for (auto& r : engine::read_feed(is)) back.push_back(std::move(r.txn));
+    ASSERT_EQ(back.size(), s.record.tls.size());
     EXPECT_EQ(est.predict(back), est.predict(s.record.tls));
   }
   std::remove(path.c_str());

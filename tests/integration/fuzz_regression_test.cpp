@@ -59,16 +59,10 @@ void replay(const std::string& target, const Harness& harness,
 
 TEST(FuzzRegression, FeedLine) { replay("feed_line", one_feed_line, 4); }
 
-TEST(FuzzRegression, Csv) { replay("csv", one_csv, 4); }
-
 TEST(FuzzRegression, Model) { replay("model", one_model, 8); }
 
 TEST(FuzzRegression, TelemetryWire) {
   replay("telemetry_wire", one_telemetry_wire, 3);
-}
-
-TEST(FuzzRegression, FeedCapture) {
-  replay("feed_capture", one_feed_capture, 3);
 }
 
 }  // namespace

@@ -2,21 +2,27 @@
 //
 //   droppkt_replay record --out FILE [--locations N] [--degraded N]
 //                         [--clients N] [--sessions N] [--seed S]
-//                         [--incident-start S] [--marker-interval S]
-//     Generate a deterministic incident feed and freeze it (records +
-//     interval markers) to a DPFC capture file.
+//                         [--incident-start S]
+//     Generate a deterministic incident feed and write it to FILE as
+//     feed lines (engine::write_feed), one line per proxy record.
 //
 //   droppkt_replay run --in FILE [--shards N] [--time-scale X]
 //                      [--batch N] [--alerts-out FILE]
-//     Replay a capture through a fresh engine + alert pipeline at line
-//     rate (default) or paced by --time-scale, then print the canonical
-//     alert sequence. For a fixed capture the alert output is
+//     Replay a feed-line file through a fresh engine + alert pipeline at
+//     line rate (default) or paced by --time-scale, then print the
+//     canonical alert sequence. For a fixed feed the alert output is
 //     byte-identical for ANY --shards, --batch and --time-scale — that
-//     invariant is what the CI capture/replay round-trip gates.
+//     invariant is what the CI record/replay round-trip gates.
+//
+// Rejected input (an unreadable file, a malformed feed line) prints
+// "error: <what>" to stderr and exits 1.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "alert/pipeline.hpp"
@@ -25,7 +31,6 @@
 #include "engine/feed.hpp"
 #include "engine/replay.hpp"
 #include "has/service_profile.hpp"
-#include "trace/capture.hpp"
 
 namespace {
 
@@ -35,7 +40,7 @@ using namespace droppkt;
   std::fprintf(stderr,
                "usage: droppkt_replay record --out FILE [--locations N] "
                "[--degraded N] [--clients N] [--sessions N] [--seed S] "
-               "[--incident-start S] [--marker-interval S]\n"
+               "[--incident-start S]\n"
                "       droppkt_replay run --in FILE [--shards N] "
                "[--time-scale X] [--batch N] [--alerts-out FILE]\n");
   std::exit(2);
@@ -65,7 +70,6 @@ int cmd_record(int argc, char** argv) {
   fcfg.sessions_per_client = 3;
   fcfg.incident_start_s = 600.0;
   fcfg.seed = 1000;
-  engine::CaptureConfig ccfg;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--out") out = arg_str(argc, argv, i);
@@ -79,8 +83,6 @@ int cmd_record(int argc, char** argv) {
     else if (a == "--seed") fcfg.seed = arg_u64(argc, argv, i);
     else if (a == "--incident-start")
       fcfg.incident_start_s = arg_double(argc, argv, i);
-    else if (a == "--marker-interval")
-      ccfg.marker_interval_s = arg_double(argc, argv, i);
     else usage();
   }
   if (out.empty()) usage();
@@ -88,17 +90,14 @@ int cmd_record(int argc, char** argv) {
   engine::IncidentGroundTruth truth;
   const engine::Feed feed =
       engine::incident_feed(has::svc1_profile(), fcfg, &truth);
-  const trace::FeedCapture capture = engine::capture_feed(feed, ccfg);
-  trace::write_feed_capture_file(capture, out);
+  std::ofstream os(out);
+  engine::write_feed(feed, os);
+  os.close();
+  if (!os) throw std::runtime_error("cannot write " + out);
 
-  std::uint64_t markers = 0;
-  for (const auto& ev : capture) {
-    if (ev.kind == trace::CaptureEvent::Kind::kMarker) ++markers;
-  }
-  std::printf("recorded %zu records + %" PRIu64
-              " markers (%zu sessions, incident at %.0fs across %zu/%zu "
-              "locations) -> %s\n",
-              feed.size(), markers, truth.sessions.size(),
+  std::printf("recorded %zu records (%zu sessions, incident at %.0fs "
+              "across %zu/%zu locations) -> %s\n",
+              feed.size(), truth.sessions.size(),
               truth.incident_start_s, truth.degraded_locations.size(),
               truth.degraded_locations.size() +
                   truth.healthy_locations.size(),
@@ -122,10 +121,12 @@ int cmd_run(int argc, char** argv) {
   }
   if (in.empty()) usage();
 
-  const trace::FeedCapture capture = trace::read_feed_capture_file(in);
+  std::ifstream is(in);
+  if (!is) throw std::runtime_error("cannot open " + in);
+  const engine::Feed feed = engine::read_feed(is);
 
   // Fixed-seed estimator: every `run` of the same binary trains the
-  // identical forest, so replay output depends only on the capture.
+  // identical forest, so replay output depends only on the feed.
   core::DatasetConfig dcfg;
   dcfg.num_sessions = 600;
   dcfg.seed = 41;
@@ -151,7 +152,7 @@ int cmd_run(int argc, char** argv) {
   engine::IngestEngine eng(
       estimator, [](const core::MonitoredSessionView&) {}, ecfg);
 
-  const engine::ReplayStats rs = engine::replay_capture(capture, eng, rcfg);
+  const engine::ReplayStats rs = engine::replay_feed(feed, eng, rcfg);
   eng.finish();
 
   // Canonical alert sequence: one line per event, every float at full
@@ -169,10 +170,12 @@ int cmd_run(int argc, char** argv) {
   }
   const auto snap = eng.stats();
   std::snprintf(line, sizeof(line),
-                "final records=%" PRIu64 " sessions=%" PRIu64
-                " provisionals=%" PRIu64 " transitions=%" PRIu64
-                " raised=%" PRIu64 " cleared=%" PRIu64 "\n",
-                snap.records_processed, snap.sessions_reported,
+                "final records=%" PRIu64 " late=%" PRIu64
+                " sessions=%" PRIu64 " provisionals=%" PRIu64
+                " transitions=%" PRIu64 " raised=%" PRIu64
+                " cleared=%" PRIu64 "\n",
+                snap.records_processed, snap.records_late,
+                snap.sessions_reported,
                 snap.provisionals_reported, snap.verdict_transitions,
                 snap.alerts_raised, snap.alerts_cleared);
   canon += line;
@@ -190,9 +193,9 @@ int cmd_run(int argc, char** argv) {
     std::fputs(canon.c_str(), stdout);
   }
   std::printf("replayed %" PRIu64 " records / %" PRIu64
-              " markers spanning %.0fs of feed time in %.2fs wall "
+              " ticks spanning %.0fs of feed time in %.2fs wall "
               "(%zu shards, time scale %s)\n",
-              rs.records, rs.markers, rs.last_s - rs.first_s,
+              rs.records, rs.ticks, rs.last_s - rs.first_s,
               rs.wall_seconds, eng.num_shards(),
               rcfg.time_scale > 0.0
                   ? std::to_string(rcfg.time_scale).c_str()
@@ -205,7 +208,12 @@ int cmd_run(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
-  if (cmd == "record") return cmd_record(argc, argv);
-  if (cmd == "run") return cmd_run(argc, argv);
+  try {
+    if (cmd == "record") return cmd_record(argc, argv);
+    if (cmd == "run") return cmd_run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   usage();
 }

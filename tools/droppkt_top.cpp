@@ -1,12 +1,13 @@
 // droppkt_top — live terminal dashboard over the droppkt-tm wire stream.
 //
-// A producer thread replays a deterministic incident-feed capture through
-// a sharded IngestEngine + AlertPipeline and, at every capture marker,
-// refreshes the engine gauges, snapshots the per-location QoE state, and
-// ticks the IntervalStreamer. The main thread is a genuine wire consumer:
-// it only ever reads what poll() delivers — it decodes droppkt-tm frames
-// (directory, then interval frames) and renders everything from the
-// decoded representation, exactly as an out-of-process dashboard would.
+// A producer thread replays a deterministic incident feed through a
+// sharded IngestEngine + AlertPipeline and, at every replay tick (the
+// engine's watermark cadence), refreshes the engine gauges, snapshots the
+// per-location QoE state, and ticks the IntervalStreamer. The main thread
+// is a genuine wire consumer: it only ever reads what poll() delivers —
+// it decodes droppkt-tm frames (directory, then interval frames) and
+// renders everything from the decoded representation, exactly as an
+// out-of-process dashboard would.
 //
 //   droppkt_top [--once] [--no-ansi] [--time-scale X] [--shards N]
 //     --once        small feed, line-rate replay, one final render, exit
@@ -46,6 +47,7 @@ struct DashState {
   // Resolved from the decoded directory frame.
   std::set<telemetry::MetricId> shard_records_ids;
   std::set<telemetry::MetricId> shard_sessions_ids;
+  std::set<telemetry::MetricId> shard_late_ids;
   telemetry::MetricId ml_rows_id = 0;
   telemetry::MetricId open_alerts_id = 0;
   telemetry::MetricId tracked_locations_id = 0;
@@ -56,6 +58,7 @@ struct DashState {
   std::vector<double> sessions_per_s;
   std::vector<double> ml_rows_per_s;
   std::map<std::string, std::vector<double>> location_sessions;
+  std::uint64_t late_records = 0;  // summed engine.shard<i>.late deltas
   telemetry::TmInterval last;
   std::uint64_t intervals = 0;
 };
@@ -76,6 +79,7 @@ void take_directory(DashState& st,
     if (e.name.rfind("engine.shard", 0) == 0) {
       if (ends_with(e.name, ".records")) st.shard_records_ids.insert(e.id);
       if (ends_with(e.name, ".sessions")) st.shard_sessions_ids.insert(e.id);
+      if (ends_with(e.name, ".late")) st.shard_late_ids.insert(e.id);
     } else if (e.name == "ml.predictions") {
       st.ml_rows_id = e.id;
     } else if (e.name == "alert.open_alerts") {
@@ -97,6 +101,7 @@ void take_interval(DashState& st, const telemetry::TmInterval& iv) {
   for (const auto& [id, v] : iv.scalars) {
     if (st.shard_records_ids.count(id) != 0) recs += v;
     if (st.shard_sessions_ids.count(id) != 0) sess += v;
+    if (st.shard_late_ids.count(id) != 0) st.late_records += v;
   }
   push_capped(st.records_per_s, static_cast<double>(recs) / secs);
   push_capped(st.sessions_per_s, static_cast<double>(sess) / secs);
@@ -131,9 +136,10 @@ void render(const DashState& st, bool ansi) {
   rate_row("forest rows predicted", st.ml_rows_per_s);
   out += totals.render();
   std::snprintf(line, sizeof(line),
-                "\nopen alerts: %" PRIu64 "   tracked locations: %" PRIu64
+                "\nopen alerts: %" PRIu64 "   late records: %" PRIu64
+                "   tracked locations: %" PRIu64
                 "   dropped intervals: %" PRIu64 "\n\n",
-                st.last.scalar(st.open_alerts_id),
+                st.last.scalar(st.open_alerts_id), st.late_records,
                 st.last.scalar(st.tracked_locations_id),
                 st.last.scalar(st.dropped_intervals_id));
   out += line;
@@ -205,7 +211,6 @@ int main(int argc, char** argv) {
   fcfg.incident_start_s = 600.0;
   fcfg.seed = 1000;
   const engine::Feed feed = engine::incident_feed(has::svc1_profile(), fcfg);
-  const trace::FeedCapture capture = engine::capture_feed(feed);
 
   // Shared telemetry plane: the ml counter first, then the engine and the
   // alert sink register in the engine constructor, then the streamer
@@ -232,7 +237,7 @@ int main(int argc, char** argv) {
   ecfg.registry = &registry;
 
   // Per-interval class distribution per location, fed by the session sink
-  // and drained at each marker tick.
+  // and drained at each replay tick.
   std::mutex cls_mu;
   std::map<std::string, std::vector<std::uint64_t>> interval_classes;
   engine::IngestEngine eng(
@@ -275,8 +280,8 @@ int main(int argc, char** argv) {
   std::thread producer([&] {
     engine::ReplayConfig rcfg;
     rcfg.time_scale = once ? 0.0 : time_scale;
-    rcfg.on_marker = [&](const trace::CaptureEvent&) { do_tick(); };
-    engine::replay_capture(capture, eng, rcfg);
+    rcfg.on_tick = [&](double) { do_tick(); };
+    engine::replay_feed(feed, eng, rcfg);
     eng.finish();
     do_tick();  // tail interval after the final flush
     done.store(true, std::memory_order_release);

@@ -54,7 +54,7 @@ int main() {
   // Train once on the shipped player (disjoint seed from the eval sets).
   const auto train_ds = make(with_abr(variants[0].abr), 1500,
                              bench::kBenchSeed + 999);
-  core::QoeEstimator est;
+  core::QoeEstimator est(bench::paper_estimator());
   est.train(train_ds);
 
   util::TextTable table({"player variant", "high-rebuf share",

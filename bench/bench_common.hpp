@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/dataset_builder.hpp"
+#include "core/estimator.hpp"
 #include "core/pipeline.hpp"
 
 namespace droppkt::bench {
@@ -37,6 +38,15 @@ inline const core::LabeledDataset& dataset_for(const std::string& service) {
     it = cache.emplace(service, std::move(ds)).first;
   }
   return it->second;
+}
+
+/// The paper protocol's estimator: combined target, the paper features and
+/// its forest of 100 trees of depth 24 (ml::RandomForestParams{}), not the
+/// smaller forest a default EstimatorConfig serves.
+inline core::EstimatorConfig paper_estimator() {
+  core::EstimatorConfig config;
+  config.forest = ml::RandomForestParams{};
+  return config;
 }
 
 inline void print_header(const std::string& title, const std::string& paper_ref) {

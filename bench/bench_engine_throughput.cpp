@@ -19,9 +19,11 @@
 //
 // The identity gates always hard-fail, as does the telemetry drop gate
 // (the interval streamer's bounded frame queue must shed nothing in the
-// default configuration). The <=2% telemetry streaming-overhead gate is
-// enforced in full runs and only reported under --smoke (CI containers
-// share cores; sub-second smoke feeds are too noisy to gate).
+// default configuration). The <=2% telemetry streaming-overhead gate, on
+// the median paired overhead of 8 baseline/streaming pairs (odd pairs run
+// the streaming side first), is enforced in full runs and only reported
+// under --smoke (CI containers share cores; sub-second smoke feeds are
+// too noisy to gate).
 //
 // Usage:
 //   bench_engine_throughput          full run, writes BENCH_engine.json
@@ -54,6 +56,7 @@
 #include "telemetry/clock.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/streamer.hpp"
+#include "util/stats.hpp"
 #include "util/string_pool.hpp"
 
 namespace {
@@ -298,45 +301,65 @@ int main(int argc, char** argv) {
 
   // Telemetry overhead: the same engine configuration with a live
   // interval streamer attached (external registry, 10 ms sampling thread)
-  // against one without. Best-of-N throughput absorbs scheduler noise;
-  // the <2% gate is enforced in full runs only (sub-second smoke feeds
-  // on shared CI cores are too noisy to gate). The drop gate is
+  // against one without, as baseline/streaming pairs. Each pair's runs
+  // sit next to each other in time, so the paired overhead cancels most of
+  // the machine's drift, and the gate reads the median over the pairs.
+  // Odd pairs run the streaming side first, so an order effect (heap
+  // state, clock frequency, caches) favours each side in half the pairs.
+  // The <2% gate is enforced in full runs only (sub-second smoke feeds on
+  // shared CI cores are too noisy to gate). The drop gate is
   // unconditional: at the default queue depth with a live consumer, the
   // bounded frame queue must never shed an interval.
   const std::size_t tm_shards = 2;
   const std::size_t tm_batch = 256;
-  const int tm_reps = smoke ? 1 : 3;
-  RunResult tm_base;
+  const int tm_pairs = smoke ? 1 : 8;
+  std::vector<double> tm_base_rps;
+  std::vector<double> tm_tele_rps;
+  std::vector<double> tm_paired;
   RunResult tm_tele;
   std::uint64_t tm_dropped_total = 0;
   bool tm_identical = true;
-  std::printf("\ntelemetry overhead (%zu shards, batch %zu, best of %d)...\n",
-              tm_shards, tm_batch, tm_reps);
-  for (int rep = 0; rep < tm_reps; ++rep) {
+  std::printf("\ntelemetry overhead (%zu shards, batch %zu, median of %d "
+              "pairs, order alternating)...\n",
+              tm_shards, tm_batch, tm_pairs);
+  for (int pair = 0; pair < tm_pairs; ++pair) {
+    const bool streaming_first = pair % 2 == 1;
+    const auto run_streaming = [&] {
+      return run_engine(estimator, feed, tm_shards, tm_batch, base, pcfg,
+                        /*stream_telemetry=*/true);
+    };
+    RunResult t;
+    if (streaming_first) t = run_streaming();
     RunResult b = run_engine(estimator, feed, tm_shards, tm_batch, base, pcfg);
-    RunResult t = run_engine(estimator, feed, tm_shards, tm_batch, base, pcfg,
-                             /*stream_telemetry=*/true);
+    if (!streaming_first) t = run_streaming();
     tm_dropped_total += t.tm_dropped;
     tm_identical = tm_identical && same_as_first(b) && same_as_first(t);
-    if (b.records_per_s > tm_base.records_per_s) tm_base = std::move(b);
-    if (t.records_per_s > tm_tele.records_per_s) tm_tele = std::move(t);
+    tm_base_rps.push_back(b.records_per_s);
+    tm_tele_rps.push_back(t.records_per_s);
+    tm_paired.push_back(1.0 - t.records_per_s / b.records_per_s);
+    std::printf("  pair %d (%s first): %10.0f / %10.0f records/s, "
+                "overhead %+.2f%%\n",
+                pair + 1, streaming_first ? "streaming" : "baseline",
+                b.records_per_s, t.records_per_s, tm_paired.back() * 100.0);
+    tm_tele = std::move(t);
   }
-  const double tm_overhead =
-      1.0 - tm_tele.records_per_s / tm_base.records_per_s;
+  const double tm_overhead = util::median(tm_paired);
   const bool gate_tm = tm_overhead <= 0.02;
   const bool gate_tm_drops = tm_dropped_total == 0;
-  std::printf("without streamer: %10.0f records/s\n", tm_base.records_per_s);
-  std::printf("with streamer:    %10.0f records/s  (%llu intervals, "
-              "%zu wire bytes, %llu dropped)\n",
-              tm_tele.records_per_s,
+  std::printf("without streamer: %10.0f records/s (median)\n",
+              util::median(tm_base_rps));
+  std::printf("with streamer:    %10.0f records/s (median; last run %llu "
+              "intervals, %zu wire bytes, %llu dropped)\n",
+              util::median(tm_tele_rps),
               static_cast<unsigned long long>(tm_tele.tm_intervals),
               tm_tele.tm_bytes,
               static_cast<unsigned long long>(tm_tele.tm_dropped));
-  std::printf("streaming overhead: %.2f%% (gate: <= 2%%, %s%s); dropped "
-              "intervals across %d runs: %llu (gate: == 0, %s)\n",
+  std::printf("streaming overhead: %.2f%% median paired (gate: <= 2%%, "
+              "%s%s); dropped intervals across %d runs: %llu (gate: == 0, "
+              "%s)\n",
               tm_overhead * 100.0, gate_tm ? "PASS" : "FAIL",
-              smoke ? ", not enforced in smoke mode" : "",
-              tm_reps, static_cast<unsigned long long>(tm_dropped_total),
+              smoke ? ", not enforced in smoke mode" : "", tm_pairs,
+              static_cast<unsigned long long>(tm_dropped_total),
               gate_tm_drops ? "PASS" : "FAIL");
 
   // Identity gates: one session multiset, one alert sequence, everywhere.
@@ -351,7 +374,7 @@ int main(int argc, char** argv) {
               "9 combos and %d telemetry runs vs 1 shard, ingest()\n",
               sessions_identical ? "IDENTICAL" : "DIVERGED",
               alerts_identical ? "IDENTICAL" : "DIVERGED", first.alert_events,
-              2 * tm_reps);
+              2 * tm_pairs);
 
   if (!smoke) {
     std::ofstream json("BENCH_engine.json");
@@ -375,9 +398,13 @@ int main(int argc, char** argv) {
          << (sessions_identical ? "true" : "false")
          << ", \"alerts_identical\": " << (alerts_identical ? "true" : "false")
          << ", \"alert_events\": " << first.alert_events << "},\n";
-    json << "  \"telemetry\": {\"baseline_records_per_s\": "
-         << tm_base.records_per_s
-         << ", \"streaming_records_per_s\": " << tm_tele.records_per_s
+    json << "  \"telemetry\": {\"pairs\": " << tm_pairs
+         << ", \"paired_overheads\": [";
+    for (std::size_t i = 0; i < tm_paired.size(); ++i) {
+      json << (i ? ", " : "") << tm_paired[i];
+    }
+    json << "], \"baseline_records_per_s\": " << util::median(tm_base_rps)
+         << ", \"streaming_records_per_s\": " << util::median(tm_tele_rps)
          << ", \"overhead\": " << tm_overhead
          << ", \"intervals\": " << tm_tele.tm_intervals
          << ", \"wire_bytes\": " << tm_tele.tm_bytes

@@ -15,7 +15,7 @@ int main() {
   std::vector<std::pair<std::string, double>> top1_by_service;
   for (const char* svc : {"Svc1", "Svc2", "Svc3"}) {
     const auto& ds = bench::dataset_for(svc);
-    core::QoeEstimator est;
+    core::QoeEstimator est(bench::paper_estimator());
     est.train(ds);
     const auto imp = est.feature_importances();
     top1_by_service.push_back(imp.front());

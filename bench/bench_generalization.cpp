@@ -16,7 +16,7 @@ int main() {
   // Train one estimator per service.
   std::map<std::string, core::QoeEstimator> estimators;
   for (const char* svc : services) {
-    core::QoeEstimator est;
+    core::QoeEstimator est(bench::paper_estimator());
     est.train(bench::dataset_for(svc));
     estimators.emplace(svc, std::move(est));
   }

@@ -84,7 +84,8 @@ int main() {
   std::printf("interactive sessions average %.1f pauses and %.1f seeks\n\n",
               pauses / test_inter.size(), seeks / test_inter.size());
 
-  core::QoeEstimator est_clean, est_inter;
+  core::QoeEstimator est_clean(bench::paper_estimator());
+  core::QoeEstimator est_inter(bench::paper_estimator());
   est_clean.train(train_clean);
   est_inter.train(train_inter);
 

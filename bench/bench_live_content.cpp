@@ -46,7 +46,7 @@ int main() {
               bench::pct0(live_cv.accuracy()).c_str(),
               bench::pct0(live_cv.recall(0)).c_str());
 
-  core::QoeEstimator vod_model;
+  core::QoeEstimator vod_model(bench::paper_estimator());
   vod_model.train(vod_ds);
   std::size_t correct = 0;
   for (const auto& s : live_ds) {

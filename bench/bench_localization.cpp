@@ -49,7 +49,7 @@ int main() {
       "Extension - localizing degraded network locations",
       "Section 1 use case (detect underperforming locations, escalate)");
 
-  core::QoeEstimator est;
+  core::QoeEstimator est(bench::paper_estimator());
   est.train(bench::dataset_for("Svc1"));
 
   // 12 healthy LTE cells, 4 congested ones.

@@ -24,7 +24,7 @@ int main() {
   cfg.num_sessions = 900;
   const auto test = core::build_dataset(has::svc1_profile(), cfg);
 
-  core::QoeEstimator tls_model;
+  core::QoeEstimator tls_model(bench::paper_estimator());
   tls_model.train(train);
 
   ml::RandomForest flow_model;

@@ -23,7 +23,13 @@ namespace droppkt::core {
 struct EstimatorConfig {
   QoeTarget target = QoeTarget::kCombined;
   TlsFeatureConfig features;
-  ml::RandomForestParams forest;
+  /// The served forest: 32 trees of depth 12. The paper protocol's 100
+  /// trees of depth 24 (ml::RandomForestParams{}, core::forest_factory)
+  /// compile to a ~3.4x larger body and cost 4-6x more per single-row
+  /// predict; over ten dataset seeds the served forest's held-out
+  /// accuracy stays within 0.5 points of it (bench_served_forest gates
+  /// this).
+  ml::RandomForestParams forest{.num_trees = 32, .max_depth = 12};
 };
 
 /// End-to-end estimator: TLS log -> 38 features -> Random Forest -> class.

@@ -104,7 +104,7 @@ RunResult run_once(const core::QoeEstimator& estimator,
   ecfg.alert_sink = &pipeline;
   engine::IngestEngine eng(estimator, [](const core::MonitoredSessionView&) {},
                            ecfg);
-  for (const auto& r : feed) eng.ingest(r.client, r.txn);
+  eng.ingest_batch(feed);
   eng.finish();
 
   res.log = pipeline.log_snapshot();

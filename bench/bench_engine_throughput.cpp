@@ -5,14 +5,13 @@
 // paper's "cheap enough to run at ISP scale" pitch implies. Two things
 // are established per run:
 //
-//   1. A records/s curve over {1,2,4} shards x {1,32,256} batch sizes
-//      through IngestEngine (batch 1 uses the unbatched ingest() entry
-//      point; larger sizes use ingest_batch()).
-//   2. Determinism gates: every engine combination, and every run of the
-//      telemetry-overhead pair, must report the byte-identical session set
-//      and alert event sequence of the first combination (1 shard,
-//      ingest()), through an attached alert::AlertPipeline whose alert
-//      log must not be empty. Whether the engine reproduces the paper's
+//   1. A records/s curve over {1,2,4} shards x {1,32,256} records per
+//      IngestEngine::ingest_batch() call (batch 1: one-record spans).
+//   2. Determinism gates: every engine combination, and every lap of the
+//      telemetry-overhead pairs, must report the byte-identical session
+//      set and alert event sequence of the first combination (1 shard,
+//      one-record spans), through an attached alert::AlertPipeline whose
+//      alert log must not be empty. Whether the engine reproduces the paper's
 //      batch pipeline at all is checked by the reference oracle test
 //      (tests/integration/reference_oracle_test.cpp); this bench checks
 //      that sharding and batching change nothing at carrier scale.
@@ -20,10 +19,11 @@
 // The identity gates always hard-fail, as does the telemetry drop gate
 // (the interval streamer's bounded frame queue must shed nothing in the
 // default configuration). The <=2% telemetry streaming-overhead gate, on
-// the median paired overhead of 8 baseline/streaming pairs (odd pairs run
-// the streaming side first), is enforced in full runs and only reported
-// under --smoke (CI containers share cores; sub-second smoke feeds are
-// too noisy to gate).
+// the median paired overhead of 8 baseline/streaming pairs (within a pair
+// the two sides' laps alternate, odd pairs leading with streaming, until
+// each side has measured at least 3 s), is enforced in full runs and only
+// reported under --smoke (CI containers share cores; one sub-second smoke
+// lap per side is too noisy to gate).
 //
 // Usage:
 //   bench_engine_throughput          full run, writes BENCH_engine.json
@@ -46,6 +46,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alert/pipeline.hpp"
@@ -181,16 +182,18 @@ RunResult run_engine(const core::QoeEstimator& estimator,
         streamer->poll(wire);
       });
     }
-    if (batch <= 1) {
-      for (const auto& r : feed) eng.ingest(r.client, r.txn);
-    } else {
-      for (std::size_t i = 0; i < feed.size(); i += batch) {
-        const std::size_t n = std::min(batch, feed.size() - i);
-        eng.ingest_batch(std::span<const engine::FeedRecord>(
-            feed.data() + i, n));
-      }
+    for (std::size_t i = 0; i < feed.size(); i += batch) {
+      const std::size_t n = std::min(batch, feed.size() - i);
+      eng.ingest_batch(
+          std::span<const engine::FeedRecord>(feed.data() + i, n));
     }
     eng.finish();
+    // The clock stops once the engine has drained: stopping the sampler
+    // (up to one 10 ms sleep, then a last tick) is not ingest time, and
+    // on a ~0.35 s lap it would read as streaming overhead.
+    result.seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
     if (stream_telemetry) {
       sampler_done.store(true, std::memory_order_release);
       sampler.join();
@@ -202,9 +205,6 @@ RunResult run_engine(const core::QoeEstimator& estimator,
     result.p50_us = snap.latency_p50_us;
     result.p99_us = snap.latency_p99_us;
   }
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   result.records_per_s = static_cast<double>(feed.size()) / result.seconds;
   result.sessions = lines.size();
   result.session_canon = canonical_sessions(std::move(lines));
@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
       rows.push_back(std::move(row));
     }
   }
-  // The identity reference: 1 shard, unbatched ingest().
+  // The identity reference: 1 shard, one-record spans.
   const RunResult& first = rows.front().r;
   const auto same_as_first = [&first](const RunResult& r) {
     return r.session_canon == first.session_canon &&
@@ -301,64 +301,87 @@ int main(int argc, char** argv) {
 
   // Telemetry overhead: the same engine configuration with a live
   // interval streamer attached (external registry, 10 ms sampling thread)
-  // against one without, as baseline/streaming pairs. Each pair's runs
-  // sit next to each other in time, so the paired overhead cancels most of
-  // the machine's drift, and the gate reads the median over the pairs.
-  // Odd pairs run the streaming side first, so an order effect (heap
-  // state, clock frequency, caches) favours each side in half the pairs.
-  // The <2% gate is enforced in full runs only (sub-second smoke feeds on
-  // shared CI cores are too noisy to gate). The drop gate is
-  // unconditional: at the default queue depth with a live consumer, the
-  // bounded frame queue must never shed an interval.
+  // against one without, as baseline/streaming pairs, and the gate reads
+  // the median paired overhead. A lap is one fresh engine over the whole
+  // feed, held to the identity reference. Within a pair, baseline and
+  // streaming laps alternate until each side has measured at least 3 s,
+  // so both sides see the same stretch of the machine's drift; odd pairs
+  // lead with a streaming lap, so an order effect (heap state, clock
+  // frequency, caches) favours each side in half the pairs. One ~0.3 s
+  // lap per side measured host noise (8-pair medians from -5.7% to +8.2%
+  // with no code change). The <2% gate is enforced in full runs only;
+  // smoke runs one lap per side. The drop gate is unconditional: at the
+  // default queue depth with a live consumer, the bounded frame queue must
+  // never shed an interval.
+  const double tm_min_side_seconds = smoke ? 0.0 : 3.0;
   const std::size_t tm_shards = 2;
   const std::size_t tm_batch = 256;
   const int tm_pairs = smoke ? 1 : 8;
+  struct TmSide {
+    double seconds = 0.0;
+    std::size_t laps = 0;
+  };
+  const auto records_per_s = [&feed](const TmSide& side) {
+    return static_cast<double>(side.laps * feed.size()) / side.seconds;
+  };
   std::vector<double> tm_base_rps;
   std::vector<double> tm_tele_rps;
   std::vector<double> tm_paired;
-  RunResult tm_tele;
+  // Seconds measured per pair: baseline, streaming.
+  std::vector<std::pair<double, double>> tm_side_seconds;
+  RunResult tm_tele;  // the last streaming lap
+  std::size_t tm_laps = 0;
   std::uint64_t tm_dropped_total = 0;
   bool tm_identical = true;
+  const auto run_lap = [&](TmSide& side, bool stream_telemetry) {
+    RunResult r = run_engine(estimator, feed, tm_shards, tm_batch, base,
+                             pcfg, stream_telemetry);
+    side.seconds += r.seconds;
+    ++side.laps;
+    ++tm_laps;
+    tm_dropped_total += r.tm_dropped;
+    tm_identical = tm_identical && same_as_first(r);
+    if (stream_telemetry) tm_tele = std::move(r);
+  };
   std::printf("\ntelemetry overhead (%zu shards, batch %zu, median of %d "
-              "pairs, order alternating)...\n",
-              tm_shards, tm_batch, tm_pairs);
+              "pairs, laps alternating, at least %.0f s per side)...\n",
+              tm_shards, tm_batch, tm_pairs, tm_min_side_seconds);
   for (int pair = 0; pair < tm_pairs; ++pair) {
     const bool streaming_first = pair % 2 == 1;
-    const auto run_streaming = [&] {
-      return run_engine(estimator, feed, tm_shards, tm_batch, base, pcfg,
-                        /*stream_telemetry=*/true);
-    };
-    RunResult t;
-    if (streaming_first) t = run_streaming();
-    RunResult b = run_engine(estimator, feed, tm_shards, tm_batch, base, pcfg);
-    if (!streaming_first) t = run_streaming();
-    tm_dropped_total += t.tm_dropped;
-    tm_identical = tm_identical && same_as_first(b) && same_as_first(t);
-    tm_base_rps.push_back(b.records_per_s);
-    tm_tele_rps.push_back(t.records_per_s);
-    tm_paired.push_back(1.0 - t.records_per_s / b.records_per_s);
-    std::printf("  pair %d (%s first): %10.0f / %10.0f records/s, "
-                "overhead %+.2f%%\n",
+    TmSide b;
+    TmSide t;
+    do {
+      if (streaming_first) run_lap(t, /*stream_telemetry=*/true);
+      run_lap(b, /*stream_telemetry=*/false);
+      if (!streaming_first) run_lap(t, /*stream_telemetry=*/true);
+    } while (b.seconds < tm_min_side_seconds ||
+             t.seconds < tm_min_side_seconds);
+    tm_base_rps.push_back(records_per_s(b));
+    tm_tele_rps.push_back(records_per_s(t));
+    tm_paired.push_back(1.0 - tm_tele_rps.back() / tm_base_rps.back());
+    tm_side_seconds.emplace_back(b.seconds, t.seconds);
+    std::printf("  pair %d (%s first): %10.0f / %10.0f records/s, %zu laps "
+                "each (%.1f / %.1f s), overhead %+.2f%%\n",
                 pair + 1, streaming_first ? "streaming" : "baseline",
-                b.records_per_s, t.records_per_s, tm_paired.back() * 100.0);
-    tm_tele = std::move(t);
+                tm_base_rps.back(), tm_tele_rps.back(), b.laps, b.seconds,
+                t.seconds, tm_paired.back() * 100.0);
   }
   const double tm_overhead = util::median(tm_paired);
   const bool gate_tm = tm_overhead <= 0.02;
   const bool gate_tm_drops = tm_dropped_total == 0;
   std::printf("without streamer: %10.0f records/s (median)\n",
               util::median(tm_base_rps));
-  std::printf("with streamer:    %10.0f records/s (median; last run %llu "
+  std::printf("with streamer:    %10.0f records/s (median; last lap %llu "
               "intervals, %zu wire bytes, %llu dropped)\n",
               util::median(tm_tele_rps),
               static_cast<unsigned long long>(tm_tele.tm_intervals),
               tm_tele.tm_bytes,
               static_cast<unsigned long long>(tm_tele.tm_dropped));
   std::printf("streaming overhead: %.2f%% median paired (gate: <= 2%%, "
-              "%s%s); dropped intervals across %d runs: %llu (gate: == 0, "
+              "%s%s); dropped intervals across %zu laps: %llu (gate: == 0, "
               "%s)\n",
               tm_overhead * 100.0, gate_tm ? "PASS" : "FAIL",
-              smoke ? ", not enforced in smoke mode" : "", tm_pairs,
+              smoke ? ", not enforced in smoke mode" : "", tm_laps,
               static_cast<unsigned long long>(tm_dropped_total),
               gate_tm_drops ? "PASS" : "FAIL");
 
@@ -371,10 +394,11 @@ int main(int argc, char** argv) {
   }
   const bool alerts_present = first.alert_events > 0;
   std::printf("\nidentity: sessions %s, alert sequence %s (%zu events) — all "
-              "9 combos and %d telemetry runs vs 1 shard, ingest()\n",
+              "9 combos and %zu telemetry laps vs 1 shard, one-record "
+              "spans\n",
               sessions_identical ? "IDENTICAL" : "DIVERGED",
               alerts_identical ? "IDENTICAL" : "DIVERGED", first.alert_events,
-              2 * tm_pairs);
+              tm_laps);
 
   if (!smoke) {
     std::ofstream json("BENCH_engine.json");
@@ -403,7 +427,13 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < tm_paired.size(); ++i) {
       json << (i ? ", " : "") << tm_paired[i];
     }
-    json << "], \"baseline_records_per_s\": " << util::median(tm_base_rps)
+    json << "], \"side_seconds\": [";
+    for (std::size_t i = 0; i < tm_side_seconds.size(); ++i) {
+      json << (i ? ", " : "") << "[" << tm_side_seconds[i].first << ", "
+           << tm_side_seconds[i].second << "]";
+    }
+    json << "], \"min_side_seconds\": " << tm_min_side_seconds
+         << ", \"baseline_records_per_s\": " << util::median(tm_base_rps)
          << ", \"streaming_records_per_s\": " << util::median(tm_tele_rps)
          << ", \"overhead\": " << tm_overhead
          << ", \"intervals\": " << tm_tele.tm_intervals
@@ -419,7 +449,7 @@ int main(int argc, char** argv) {
   if (!sessions_identical || !alerts_identical) {
     std::fprintf(stderr,
                  "[bench] FAIL: a batched/sharded run diverged from the "
-                 "1-shard unbatched run\n");
+                 "1-shard one-record-span run\n");
     return 1;
   }
   if (!alerts_present) {

@@ -89,7 +89,7 @@ int main() {
       },
       ecfg);
 
-  for (const auto& r : feed) eng.ingest(r.client, r.txn);
+  eng.ingest_batch(feed);
   eng.finish();
 
   std::printf("Alert timeline (deterministic across shard counts):\n");

@@ -6,34 +6,21 @@ namespace droppkt::alert {
 
 namespace {
 
-void validate(const AlertThresholds& t, const char* what) {
+void validate(const AlertThresholds& t) {
   DROPPKT_EXPECT(t.raise_rate > 0.0 && t.raise_rate < 1.0,
-                 std::string("AlertManager: ") + what +
-                     ": raise_rate must be in (0,1)");
+                 "AlertManager: raise_rate must be in (0,1)");
   DROPPKT_EXPECT(t.clear_rate >= 0.0 && t.clear_rate <= t.raise_rate,
-                 std::string("AlertManager: ") + what +
-                     ": clear_rate must be in [0, raise_rate]");
+                 "AlertManager: clear_rate must be in [0, raise_rate]");
   DROPPKT_EXPECT(t.clear_cooldown_s >= 0.0,
-                 std::string("AlertManager: ") + what +
-                     ": clear_cooldown_s must be >= 0");
+                 "AlertManager: clear_cooldown_s must be >= 0");
 }
 
 }  // namespace
 
 AlertManager::AlertManager(ManagerConfig config)
     : config_(std::move(config)) {
-  validate(config_.defaults, "defaults");
-  for (const auto& [svc, t] : config_.per_service) validate(t, svc.c_str());
+  validate(config_.defaults);
   DROPPKT_EXPECT(config_.max_log >= 1, "AlertManager: max_log must be >= 1");
-}
-
-const AlertThresholds& AlertManager::thresholds_for(
-    std::string_view location) const {
-  if (config_.service_of) {
-    const auto it = config_.per_service.find(config_.service_of(location));
-    if (it != config_.per_service.end()) return it->second;
-  }
-  return config_.defaults;
 }
 
 const AlertEvent* AlertManager::append(AlertEvent::Kind kind,
@@ -58,14 +45,13 @@ const AlertEvent* AlertManager::update(const std::string& location,
                                        double time_s) {
   DROPPKT_EXPECT(!location.empty(),
                  "AlertManager: location must be non-empty");
-  const AlertThresholds& t = thresholds_for(location);
+  const AlertThresholds& t = config_.defaults;
   const auto it = states_.find(location);
 
   if (it == states_.end()) {
     // `degraded` already folds in the detector's evidence floor; the
-    // manager re-tests the rate against its own (possibly per-service)
-    // raise threshold so services can be stricter or laxer than the
-    // detector-wide default.
+    // manager re-tests the rate against its own raise threshold, which
+    // may be stricter or laxer than the detector's alert rate.
     const bool raise_now =
         window.degraded && window.interval.low > t.raise_rate;
     if (!raise_now) return nullptr;

@@ -6,27 +6,21 @@
 // asymmetric thresholds (clear below a lower rate than raise, so the
 // boundary doesn't chatter), a clear cooldown (the location must look
 // healthy continuously for cooldown_s before the incident closes), and a
-// bounded append-only log of raise/clear events for sinks to read.
-//
-// Thresholds can differ per service class: a premium live-sports service
-// may warrant raising at a 30% low-QoE rate while a background-download
-// heavy one tolerates 60%. The manager maps a location to its service via
-// a caller-provided classifier over the location name.
+// bounded append-only log of raise/clear events for sinks to read. One
+// set of thresholds applies to every location.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "alert/location_detector.hpp"
 
 namespace droppkt::alert {
 
-/// Raise/clear decision thresholds for one service class.
+/// Raise/clear decision thresholds.
 struct AlertThresholds {
   /// Raise when the Wilson lower bound of the windowed low-QoE rate
   /// exceeds this (and effective sessions meet the detector's floor).
@@ -41,13 +35,8 @@ struct AlertThresholds {
 };
 
 struct ManagerConfig {
+  /// Thresholds for every location.
   AlertThresholds defaults;
-  /// Overrides keyed by service name; a location resolves to a service via
-  /// service_of. Locations whose service has no entry use `defaults`.
-  std::map<std::string, AlertThresholds> per_service;
-  /// Maps a location to its service-class name (e.g. parse a "svc2:cell-7"
-  /// prefix). Unset: every location uses `defaults`.
-  std::function<std::string(std::string_view location)> service_of;
   /// Maximum retained log entries; the oldest are dropped beyond this.
   std::size_t max_log = 4096;
 };
@@ -89,9 +78,6 @@ class AlertManager {
   /// The bounded append-only event log, oldest first. Entries beyond
   /// config.max_log have been dropped from the front; ids reveal the gap.
   const std::deque<AlertEvent>& log() const { return log_; }
-
-  /// Thresholds a location resolves to (service override or defaults).
-  const AlertThresholds& thresholds_for(std::string_view location) const;
 
  private:
   /// A raised location's state; a location without an entry is not

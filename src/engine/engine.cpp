@@ -7,6 +7,14 @@
 
 namespace droppkt::engine {
 
+namespace {
+
+/// Every k-th record a shard accepts carries a queue-latency stamp (see
+/// make_record_msg for why not every record).
+constexpr std::size_t kLatencySampleEvery = 64;
+
+}  // namespace
+
 IngestEngine::IngestEngine(const core::QoeEstimator& estimator,
                            SessionSink sink, EngineConfig config)
     : IngestEngine(estimator, std::move(sink), ProvisionalSink{},
@@ -118,8 +126,7 @@ IngestEngine::Msg IngestEngine::make_record_msg(
   // Sampled latency stamping: a clock read per record costs more than the
   // rest of this function; every k-th record per shard keeps the
   // histogram live at negligible cost.
-  if (config_.latency_sample_every > 0 &&
-      ++sh.stamp_phase >= config_.latency_sample_every) {
+  if (++sh.stamp_phase >= kLatencySampleEvery) {
     sh.stamp_phase = 0;
     m.enqueue_tp = std::chrono::steady_clock::now();
   }
@@ -175,17 +182,6 @@ void IngestEngine::flush_shard(Shard& sh) {
 
 void IngestEngine::flush_all_staging() {
   for (auto& shard : shards_) flush_shard(*shard);
-}
-
-void IngestEngine::ingest(std::string_view client,
-                          const trace::TlsTransaction& txn) {
-  DROPPKT_EXPECT(!finished_, "IngestEngine: ingest after finish");
-  DROPPKT_EXPECT(!client.empty(), "IngestEngine: client must be non-empty");
-  maybe_broadcast_watermark(txn.start_s);
-  Shard& sh = *shards_[shard_of(client)];
-  Msg m = make_record_msg(sh, client, txn);
-  sh.metrics.enqueued->inc();
-  sh.queue.push(m);
 }
 
 void IngestEngine::ingest_batch(std::span<const FeedRecord> batch) {

@@ -22,8 +22,8 @@
 //     blocks (SpscQueue::push_bulk); workers drain symmetric blocks with
 //     pop_wait_bulk — the fastclick push/push_batch idiom, paying queue
 //     and bookkeeping overhead once per block instead of once per record.
-//   * Queue latency is stamped on a sampled subset of records
-//     (latency_sample_every) and per-thread counters accumulate locally,
+//   * Queue latency is stamped on every 64th record per shard
+//     (kLatencySampleEvery) and per-thread counters accumulate locally,
 //     publishing to the shared snapshot atomics once per drained block —
 //     no steady_clock read and no shared-cache-line RMW per record.
 //
@@ -34,10 +34,10 @@
 // fan into one sink, serialized by a mutex (sessions complete ~10^2-10^4x
 // less often than records arrive, so the lock is off the hot path).
 //
-// Determinism: for a fixed feed and config, an N-shard run — batched or
-// not, any batch size — reports exactly the same session set (per-client
-// boundaries and predicted classes) as a 1-shard run or a plain
-// single-threaded StreamingMonitor, because each shard's
+// Determinism: for a fixed feed and config, an N-shard run — at any batch
+// size, one-record spans included — reports exactly the same session set
+// (per-client boundaries and predicted classes) as a 1-shard run or a
+// plain single-threaded StreamingMonitor, because each shard's
 // record-and-watermark message sequence is identical regardless of N and
 // of how records were grouped into ingest_batch() calls. Only the
 // emission *order* across clients varies.
@@ -82,12 +82,6 @@ struct EngineConfig {
   /// Feed-time interval between low-watermark broadcasts. Must be positive;
   /// values well below the idle timeout keep quiet-shard eviction timely.
   double watermark_interval_s = 15.0;
-  /// Stamp-and-measure queue latency on every k-th record accepted by a
-  /// shard (1 = every record — the pre-batching behavior; 0 = never). A
-  /// steady_clock read per record costs more than the rest of the enqueue
-  /// path, so the default samples: the histogram stays populated while the
-  /// hot path stays clock-free.
-  std::size_t latency_sample_every = 64;
   /// Block size for batched transfer: ingest_batch() flushes a shard's
   /// staging buffer at this size, and workers drain up to this many
   /// messages per mailbox operation.
@@ -106,8 +100,8 @@ struct EngineConfig {
 
 /// Sharded multi-threaded ingest over a proxy's TLS transaction feed.
 ///
-/// ingest() / ingest_batch() must be called from one thread at a time (the
-/// proxy feed is a single ordered stream); records should arrive in global
+/// ingest_batch() must be called from one thread at a time (the proxy feed
+/// is a single ordered stream); records should arrive in global
 /// start-time order. A late record, one that starts before its client's
 /// previous record, is dropped and counted in the shard's monitor
 /// (EngineStatsSnapshot::records_late). The estimator is borrowed, must
@@ -140,23 +134,18 @@ class IngestEngine {
   IngestEngine(const IngestEngine&) = delete;
   IngestEngine& operator=(const IngestEngine&) = delete;
 
-  /// Route one proxy record to its client's shard. Applies the configured
-  /// backpressure policy if that shard's mailbox is full. The unbatched
-  /// path: one mailbox operation per record.
-  DROPPKT_NOALLOC void ingest(std::string_view client,
-                              const trace::TlsTransaction& txn);
-
   /// Route a block of feed records (global start-time order, continuing
-  /// the stream fed so far). Records are interned, staged per shard, and
-  /// published to the mailboxes in bulk; every staged record is visible to
-  /// its shard by the time the call returns. Produces byte-identical
-  /// sessions and alert sequences to the same records fed one ingest()
-  /// call at a time, for any grouping into batches.
+  /// the stream fed so far) to their clients' shards. Records are
+  /// interned, staged per shard, and published to the mailboxes in bulk,
+  /// under the configured backpressure policy; every staged record is
+  /// visible to its shard by the time the call returns. Any grouping into
+  /// batches, one-record spans included, produces byte-identical sessions
+  /// and alert sequences.
   DROPPKT_NOALLOC void ingest_batch(std::span<const FeedRecord> batch);
 
   /// Close all mailboxes, drain them, flush every shard's monitor and join
   /// the workers. Idempotent; called by the destructor if needed. After
-  /// finish(), ingest() must not be called again.
+  /// finish(), ingest_batch() must not be called again.
   void finish();
 
   std::size_t num_shards() const { return shards_.size(); }

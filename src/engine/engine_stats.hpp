@@ -69,7 +69,7 @@ struct ShardStatsSnapshot {
 /// Aggregate view across all shards.
 struct EngineStatsSnapshot {
   std::vector<ShardStatsSnapshot> shards;
-  std::uint64_t records_ingested = 0;   // accepted by ingest()
+  std::uint64_t records_ingested = 0;   // accepted by ingest_batch()
   std::uint64_t records_processed = 0;  // observed by shard monitors
   std::uint64_t records_dropped = 0;    // shed by kDropOldest backpressure
   std::uint64_t sessions_reported = 0;

@@ -2,22 +2,16 @@
 
 #include <utility>
 
-#include "util/expect.hpp"
-
 namespace droppkt::telemetry {
 
-IntervalStreamer::IntervalStreamer(MetricRegistry& registry, NowFn now,
-                                   StreamerConfig config)
+IntervalStreamer::IntervalStreamer(MetricRegistry& registry, NowFn now)
     // The drop counter registers first so the sampler (whose construction
     // freezes the directory) already sees it — drops are then reportable
     // over the same wire that loses the frames.
     : registry_(registry),
       dropped_(&registry.counter("telemetry.dropped_intervals", "frames")),
       sampler_(registry, std::move(now)),
-      queue_(config.queue_frames, util::BackpressurePolicy::kBlock) {
-  DROPPKT_EXPECT(config.queue_frames >= 2,
-                 "IntervalStreamer: queue_frames must be at least 2");
-}
+      queue_(kQueueFrames, util::BackpressurePolicy::kBlock) {}
 
 std::vector<std::uint8_t> IntervalStreamer::header_frame() const {
   std::vector<std::uint8_t> out;

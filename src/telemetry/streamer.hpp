@@ -21,19 +21,16 @@
 
 namespace droppkt::telemetry {
 
-struct StreamerConfig {
-  /// Bounded frame queue depth between tick() and poll().
-  std::size_t queue_frames = 64;
-};
-
 /// Single-producer (tick) / single-consumer (poll) interval frame stream.
 /// Construct AFTER every other metric is registered: the streamer
 /// registers its own drop counter and then freezes the directory by
 /// creating the sampler.
 class IntervalStreamer {
  public:
-  IntervalStreamer(MetricRegistry& registry, NowFn now,
-                   StreamerConfig config = {});
+  /// Bounded frame queue depth between tick() and poll().
+  static constexpr std::size_t kQueueFrames = 64;
+
+  IntervalStreamer(MetricRegistry& registry, NowFn now);
 
   /// The stream prologue a consumer needs before any interval frame:
   /// magic + version + directory frame. Prepending this to the

@@ -105,24 +105,6 @@ TEST(AlertManager, ReRaiseGetsFreshId) {
   EXPECT_EQ(mgr.total_raised(), 2u);
 }
 
-TEST(AlertManager, PerServiceThresholdsOverrideDefaults) {
-  ManagerConfig c = cfg(0.5, 0.35, 0.0);
-  AlertThresholds premium;
-  premium.raise_rate = 0.3;
-  premium.clear_rate = 0.2;
-  premium.clear_cooldown_s = 0.0;
-  c.per_service["premium"] = premium;
-  c.service_of = [](std::string_view location) {
-    return std::string(location.substr(0, location.find(':')));
-  };
-  AlertManager mgr(std::move(c));
-  // 0.4 lower bound: raises the premium location, not the default one.
-  EXPECT_NE(mgr.update("premium:cell-1", win(0.4), 1.0), nullptr);
-  EXPECT_EQ(mgr.update("basic:cell-1", win(0.4), 1.0), nullptr);
-  EXPECT_EQ(mgr.thresholds_for("premium:cell-9").raise_rate, 0.3);
-  EXPECT_EQ(mgr.thresholds_for("basic:cell-9").raise_rate, 0.5);
-}
-
 TEST(AlertManager, LogIsBoundedWithMonotoneIds) {
   ManagerConfig c = cfg(0.5, 0.35, 0.0);
   c.max_log = 4;

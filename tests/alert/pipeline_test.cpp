@@ -85,7 +85,7 @@ CanonicalRun run_engine(std::size_t shards) {
   ecfg.alert_sink = &pipeline;
   engine::IngestEngine eng(trained_estimator(),
                            [](const core::MonitoredSessionView&) {}, ecfg);
-  for (const auto& r : incident_feed()) eng.ingest(r.client, r.txn);
+  for (const auto& r : incident_feed()) eng.ingest_batch({&r, 1});
   eng.finish();
 
   for (const auto& ev : pipeline.log_snapshot()) {
@@ -192,7 +192,7 @@ SoakResult run_soak(std::size_t shards, double evict_below_weight) {
   ecfg.alert_sink = &pipeline;
   engine::IngestEngine eng(trained_estimator(),
                            [](const core::MonitoredSessionView&) {}, ecfg);
-  for (const auto& r : feed) eng.ingest(r.client, r.txn);
+  for (const auto& r : feed) eng.ingest_batch({&r, 1});
   eng.finish();
 
   for (const auto& ev : pipeline.log_snapshot()) {

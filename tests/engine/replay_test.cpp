@@ -100,7 +100,7 @@ RunResult run_live() {
   IngestEngine eng(shared_estimator(),
                    [](const core::MonitoredSessionView&) {},
                    engine_config(2, &alerts));
-  for (const auto& r : shared_feed()) eng.ingest(r.client, r.txn);
+  for (const auto& r : shared_feed()) eng.ingest_batch({&r, 1});
   eng.finish();
   return {canon_of(alerts), eng.stats()};
 }

@@ -68,25 +68,11 @@ std::vector<core::MonitoredSession> run_plain(const Feed& feed) {
   return out;
 }
 
+/// The sharded engine over `feed` in ingest_batch() calls of `batch`
+/// records; batch 1 (one-record spans) is the finest grouping.
 std::vector<core::MonitoredSession> run_engine(const Feed& feed,
-                                               EngineConfig cfg) {
-  std::vector<core::MonitoredSession> out;
-  std::mutex mu;
-  IngestEngine eng(
-      trained_estimator(),
-      [&](const core::MonitoredSessionView& s) {
-        const std::lock_guard<std::mutex> lock(mu);
-        out.push_back(s.to_owned());
-      },
-      cfg);
-  for (const auto& r : feed) eng.ingest(r.client, r.txn);
-  eng.finish();
-  return out;
-}
-
-std::vector<core::MonitoredSession> run_engine_batched(const Feed& feed,
-                                                      EngineConfig cfg,
-                                                      std::size_t batch) {
+                                               EngineConfig cfg,
+                                               std::size_t batch = 1) {
   std::vector<core::MonitoredSession> out;
   std::mutex mu;
   IngestEngine eng(
@@ -152,15 +138,19 @@ TEST(IngestEngine, ShardCountDoesNotChangeSessions) {
 
 // Batching is a mailbox transport detail: any ingest_batch() block size —
 // including blocks far larger than the drain block and non-divisors of
-// the feed length — must produce exactly the per-record-ingest sessions.
+// the feed length — must produce exactly the sessions of 1 shard fed
+// one-record spans.
 TEST(IngestEngine, BatchSizeDoesNotChangeSessions) {
-  const auto baseline = canonicalize(run_plain(shared_feed()));
+  EngineConfig one_shard;
+  one_shard.num_shards = 1;
+  const auto baseline = canonicalize(run_engine(shared_feed(), one_shard));
   for (const std::size_t shards : {1u, 3u}) {
     for (const std::size_t batch : {1u, 7u, 64u, 1024u}) {
+      if (shards == 1 && batch == 1) continue;  // the baseline itself
       EngineConfig cfg;
       cfg.num_shards = shards;
       const auto batched =
-          canonicalize(run_engine_batched(shared_feed(), cfg, batch));
+          canonicalize(run_engine(shared_feed(), cfg, batch));
       EXPECT_EQ(baseline, batched)
           << "diverged at " << shards << " shards, batch " << batch;
     }
@@ -196,7 +186,7 @@ TEST(IngestEngine, UnmaterializedViewCarriesRecords) {
           lean.insert(key(owned));
         },
         cfg);
-    for (const auto& r : shared_feed()) eng.ingest(r.client, r.txn);
+    eng.ingest_batch(shared_feed());
     eng.finish();
   }
   // Same sessions (client, SNI sequence, class) as the materialized run.
@@ -217,7 +207,7 @@ TEST(IngestEngine, StatsAccountForEveryRecord) {
         ++sink_count;
       },
       cfg);
-  for (const auto& r : shared_feed()) eng.ingest(r.client, r.txn);
+  eng.ingest_batch(shared_feed());
   eng.finish();
   const auto snap = eng.stats();
   EXPECT_EQ(snap.records_ingested, shared_feed().size());
@@ -238,8 +228,8 @@ TEST(IngestEngine, StatsAccountForEveryRecord) {
 }
 
 TEST(IngestEngine, DropOldestShedsButConserves) {
-  // A 2-slot mailbox under a large feed: the engine must neither block
-  // forever nor lose track of a single record.
+  // A 2-slot mailbox under a large feed, one record per call: the engine
+  // must neither block forever nor lose track of a single record.
   EngineConfig cfg;
   cfg.num_shards = 2;
   cfg.queue_capacity = 2;
@@ -253,7 +243,7 @@ TEST(IngestEngine, DropOldestShedsButConserves) {
         ++sessions;
       },
       cfg);
-  for (const auto& r : shared_feed()) eng.ingest(r.client, r.txn);
+  for (const auto& r : shared_feed()) eng.ingest_batch({&r, 1});
   eng.finish();
   const auto snap = eng.stats();
   EXPECT_EQ(snap.records_ingested, shared_feed().size());
@@ -283,19 +273,22 @@ TEST(IngestEngine, WatermarkEvictsIdleClientOnQuietShard) {
       },
       cfg);
 
-  const auto make_txn = [](double start, std::string sni) {
-    trace::TlsTransaction t;
-    t.start_s = start;
-    t.end_s = start + 8.0;
-    t.ul_bytes = 500.0;
-    t.dl_bytes = 1e6;
-    t.sni = std::move(sni);
-    t.http_count = 3;
-    return t;
+  const auto make_record = [](std::string client, double start,
+                               std::string sni) {
+    FeedRecord r;
+    r.client = std::move(client);
+    r.txn.start_s = start;
+    r.txn.end_s = start + 8.0;
+    r.txn.ul_bytes = 500.0;
+    r.txn.dl_bytes = 1e6;
+    r.txn.sni = std::move(sni);
+    r.txn.http_count = 3;
+    return r;
   };
+  Feed feed;
   // The quiet client: 4 transactions around t=0.
   for (int i = 0; i < 4; ++i) {
-    eng.ingest("quiet", make_txn(i * 2.0, "a"));
+    feed.push_back(make_record("quiet", i * 2.0, "a"));
   }
   // Background clients carry feed time far past the idle timeout.
   for (int i = 0; i < 200; ++i) {
@@ -303,8 +296,9 @@ TEST(IngestEngine, WatermarkEvictsIdleClientOnQuietShard) {
     client += std::to_string(i % 5);
     std::string sni = "b";
     sni += std::to_string(i % 3);
-    eng.ingest(client, make_txn(10.0 + i * 2.0, sni));
+    feed.push_back(make_record(client, 10.0 + i * 2.0, sni));
   }
+  eng.ingest_batch(feed);
   // The eviction is asynchronous; poll briefly rather than calling
   // finish(), which would flush everything anyway.
   bool quiet_emitted = false;
@@ -348,7 +342,7 @@ TEST(IngestEngine, SurfacesProvisionalEstimatesInFlight) {
         }
       },
       cfg);
-  for (const auto& r : shared_feed()) eng.ingest(r.client, r.txn);
+  eng.ingest_batch(shared_feed());
   eng.finish();
 
   EXPECT_EQ(bad, 0u);
@@ -362,7 +356,7 @@ TEST(IngestEngine, SurfacesProvisionalEstimatesInFlight) {
   // cadence configured.
   IngestEngine quiet_eng(trained_estimator(),
                          [](const core::MonitoredSessionView&) {}, cfg);
-  for (const auto& r : shared_feed()) quiet_eng.ingest(r.client, r.txn);
+  quiet_eng.ingest_batch(shared_feed());
   quiet_eng.finish();
   EXPECT_EQ(quiet_eng.provisionals_reported(), 0u);
 }

@@ -14,7 +14,7 @@
 // batching.
 //
 // StreamingMonitor (string observe()) and IngestEngine at {1,2,4} shards x
-// {ingest, ingest_batch 32, ingest_batch 256}, with provisional estimates
+// ingest_batch spans of {1, 32, 256} records, with provisional estimates
 // off and every 4th record, materialization on and off, must reproduce
 // three outputs byte for byte: the session lines (every float at %.17g),
 // the provisional count and the alert event sequence. Each case also
@@ -272,7 +272,7 @@ Outputs run_monitor(const OracleCase& c, const core::MonitorConfig& mcfg) {
   return collect(std::move(lines), mon.provisionals_reported(), pipeline);
 }
 
-/// The sharded engine; batch 1 feeds ingest(), larger sizes ingest_batch().
+/// The sharded engine, fed ingest_batch() spans of `batch` records.
 Outputs run_engine(const OracleCase& c, const core::MonitorConfig& mcfg,
                    std::size_t shards, std::size_t batch) {
   alert::AlertPipeline pipeline(c.alerts);
@@ -289,14 +289,10 @@ Outputs run_engine(const OracleCase& c, const core::MonitorConfig& mcfg,
         lines.push_back(view_line(s));
       },
       ecfg);
-  if (batch <= 1) {
-    for (const auto& r : c.feed) eng.ingest(r.client, r.txn);
-  } else {
-    for (std::size_t i = 0; i < c.feed.size(); i += batch) {
-      const std::size_t n = std::min(batch, c.feed.size() - i);
-      eng.ingest_batch(
-          std::span<const engine::FeedRecord>(c.feed.data() + i, n));
-    }
+  for (std::size_t i = 0; i < c.feed.size(); i += batch) {
+    const std::size_t n = std::min(batch, c.feed.size() - i);
+    eng.ingest_batch(
+        std::span<const engine::FeedRecord>(c.feed.data() + i, n));
   }
   eng.finish();  // joins the workers: `lines` and the pipeline are final
   return collect(std::move(lines), eng.provisionals_reported(), pipeline);

@@ -8,8 +8,8 @@
 // steady-state window, on both sides of the mailbox:
 //   * the monitor/worker side (observe -> boundary scan -> classify ->
 //     emit), driven single-threaded, and
-//   * the engine's producer side (intern -> POD convert -> enqueue,
-//     batched and unbatched).
+//   * the engine's producer side (intern -> POD convert -> enqueue),
+//     through ingest_batch in one-record spans and in 64-record blocks.
 // It also checks that the alert manager keeps no state for a location it
 // evaluates as healthy, so per-location state tracks only open alerts.
 // Warmup first feeds enough records that every client is known, every
@@ -231,20 +231,17 @@ TEST(ZeroAlloc, EngineProducerSteadyStateIngest) {
                    [](const core::MonitoredSessionView&) {}, cfg);
 
   const std::size_t warm = feed.size() / 2;
-  for (std::size_t i = 0; i < warm; ++i) {
-    eng.ingest(feed[i].client, feed[i].txn);
-  }
+  for (std::size_t i = 0; i < warm; ++i) eng.ingest_batch({&feed[i], 1});
 
-  // Unbatched producer path: intern + POD convert + push, per record.
+  // One-record spans: intern + POD convert + a one-message push_bulk per
+  // record.
   const std::size_t split = warm + (feed.size() - warm) / 2;
   const std::uint64_t before_single = t_allocations;
-  for (std::size_t i = warm; i < split; ++i) {
-    eng.ingest(feed[i].client, feed[i].txn);
-  }
+  for (std::size_t i = warm; i < split; ++i) eng.ingest_batch({&feed[i], 1});
   const std::uint64_t single = t_allocations - before_single;
 
-  // Batched producer path: staging reuses its reserved block, push_bulk
-  // moves PODs.
+  // 64-record blocks: staging reuses its reserved block, push_bulk moves
+  // PODs.
   const std::uint64_t before_batch = t_allocations;
   for (std::size_t i = split; i < feed.size(); i += 64) {
     const std::size_t n = std::min<std::size_t>(64, feed.size() - i);
@@ -254,9 +251,9 @@ TEST(ZeroAlloc, EngineProducerSteadyStateIngest) {
 
   eng.finish();
   EXPECT_EQ(single, 0u)
-      << single << " producer-side allocations across unbatched ingest";
+      << single << " producer-side allocations across one-record spans";
   EXPECT_EQ(batched, 0u)
-      << batched << " producer-side allocations across batched ingest";
+      << batched << " producer-side allocations across 64-record blocks";
   EXPECT_GT(eng.sessions_reported(), 0u);
 #endif
 }

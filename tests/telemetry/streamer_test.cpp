@@ -53,23 +53,23 @@ TEST(TelemetryStreamer, HeaderPlusPolledFramesFormAValidStream) {
 TEST(TelemetryStreamer, FullQueueDropsAndCountsNeverBlocks) {
   MetricRegistry reg;
   ManualClock clock;
-  StreamerConfig cfg;
-  cfg.queue_frames = 2;
-  IntervalStreamer streamer(reg, clock.fn(), cfg);
+  IntervalStreamer streamer(reg, clock.fn());
 
-  for (int i = 0; i < 5; ++i) {
+  // Three ticks past a full queue, with no consumer polling.
+  constexpr std::size_t kTicks = IntervalStreamer::kQueueFrames + 3;
+  for (std::size_t i = 0; i < kTicks; ++i) {
     clock.advance(1'000'000'000);
     streamer.tick();
   }
-  EXPECT_EQ(streamer.intervals_sampled(), 5u);
+  EXPECT_EQ(streamer.intervals_sampled(), kTicks);
   EXPECT_EQ(streamer.dropped_intervals(), 3u);
   std::vector<std::uint8_t> out;
-  EXPECT_EQ(streamer.poll(out), 2u);
+  EXPECT_EQ(streamer.poll(out), IntervalStreamer::kQueueFrames);
 
   // The loss is itself visible on the wire. Sampling happens before the
   // enqueue attempt, so drops 1 and 2 were counted into deltas that rode
   // frames the queue then rejected; the next *delivered* interval carries
-  // the delta since the last sample — the drop of tick 5.
+  // the delta since the last sample — the drop of the last tick.
   clock.advance(1'000'000'000);
   streamer.tick();
   out = streamer.header_frame();
